@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Tuple, Union
 
 from .epistemic import AumannModel, Event, ck_classical, ck_subjective
-from .hypernat import HyperNat, finite
+from .hypernat import HyperNat, finite, gap
 from .reports import CheckReport
 
 __all__ = [
@@ -116,8 +116,7 @@ def email_metric(x: EmailGameState, y: EmailGameState) -> HyperNat:
     distance is the position gap; it agrees with breadth-first search on
     truncations (in particular (a,0,0) to (b,t,t) is 2t).
     """
-    a, b = chain_position(x), chain_position(y)
-    return a - b if a >= b else b - a
+    return gap(chain_position(x), chain_position(y))
 
 
 def cell(agent: int, s: EmailGameState) -> frozenset:
@@ -341,11 +340,7 @@ class CutoffStrategy:
 def cell_by_own_count(agent: int, count: Union[int, HyperNat]) -> frozenset:
     """The information cell an agent sits in after sending ``count`` messages."""
     count = _as_count(count)
-    if agent == 1:
-        return cell(1, STATE_A if count == _ZERO else state_b(count, 0))
-    if agent == 2:
-        return cell(2, STATE_A if count == _ZERO else state_b(count, 0))
-    raise ValueError("agents are 1 and 2")
+    return cell(agent, STATE_A if count == _ZERO else state_b(count, 0))
 
 
 def _own_count(agent: int, s: EmailGameState) -> HyperNat:

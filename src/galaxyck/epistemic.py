@@ -205,10 +205,15 @@ def _as_event(event: Any) -> Event:
     raise TypeError("events are sets of states or Event objects")
 
 
+def _finite_carrier(model: Any) -> bool:
+    """Does the model enumerate its carrier (``states`` is not None)?"""
+    return getattr(model, "states", None) is not None
+
+
 def _members(model: Any, event: Event) -> frozenset:
     if event.members is not None:
         return event.members
-    if getattr(model, "states", None) is not None:
+    if _finite_carrier(model):
         return frozenset(s for s in model.states if event.contains(s))
     raise ValueError("event needs an explicit member set on an infinite carrier")
 
@@ -253,7 +258,7 @@ def is_reachable(model: Any, x: State, y: State) -> bool:
 def knows(model: Any, agent: Agent, event: Any) -> frozenset:
     """States where the agent's whole cell lies inside the event."""
     ev = _as_event(event)
-    if getattr(model, "states", None) is None:
+    if not _finite_carrier(model):
         raise ValueError("knowledge sets need an enumerable carrier")
     return frozenset(
         s for s in model.states if all(ev.contains(t) for t in model.cell(agent, s))
@@ -269,19 +274,54 @@ def knows_group(model: Any, event: Any) -> frozenset:
     return frozenset(result or frozenset())
 
 
+def _closure_within(model: Any, ev: Event, omega: State) -> bool:
+    """Does every state reachable from ``omega`` lie in the event?
+
+    One breadth-first flood from ``omega`` that stops at the first reached
+    state outside the event, so a negative verdict costs only the ball out
+    to the nearest such state.  On a finite carrier every reachable state
+    is at finite link distance, which makes this both CK tests at once.
+    """
+    model.cell(model.agents[0], omega)  # validates the state, as distances_from does
+    if not ev.contains(omega):
+        return False
+    seen = {omega}
+    frontier = [omega]
+    while frontier:
+        next_frontier = []
+        for s in frontier:
+            for agent in model.agents:
+                for t in model.cell(agent, s):
+                    if t not in seen:
+                        if not ev.contains(t):
+                            return False
+                        seen.add(t)
+                        next_frontier.append(t)
+        frontier = next_frontier
+    return True
+
+
 def ck_classical(model: Any, event: Any, omega: State) -> bool:
     """Classical test: every state reachable from ``omega`` lies in the event."""
     ev = _as_event(event)
-    if getattr(model, "states", None) is None:
+    if not _finite_carrier(model):
         raise ValueError("classical common knowledge needs an enumerable reachability closure")
-    return all(ev.contains(s) for s in model.closure(omega))
+    return _closure_within(model, ev, omega)
 
 
 def reachability_relation(model: Any, gen: Optional[GeneratingSequence] = None) -> SoritesRelation:
     """The sorites relation whose distance is the model's link metric."""
-    if gen is None:
-        return SoritesRelation(dist=model.metric)
-    return SoritesRelation(dist=model.metric, gen=gen)
+    return SoritesRelation(dist=model.metric, gen=gen or GeneratingSequence.powers_of_two())
+
+
+def _check_witnesses(model: Any, ev: Event, witnesses: tuple) -> None:
+    for x in witnesses:
+        if ev.contains(x):
+            raise ValueError(f"complement witness {x!r} lies inside the event")
+    if _finite_carrier(model):
+        complement = {s for s in model.states if not ev.contains(s)}
+        if set(witnesses) != complement:
+            raise ValueError("complement witnesses must list exactly the event's complement")
 
 
 def ck_subjective(
@@ -292,20 +332,27 @@ def ck_subjective(
 ) -> bool:
     """Subjective test: nothing outside the event is at finite link distance.
 
-    Equivalently, the galaxy of ``omega`` is contained in the event.  The
-    complement is searched, never the galaxy itself; on an infinite carrier
-    the event must list its complement witnesses.
+    Equivalently, the galaxy of ``omega`` is contained in the event.  On a
+    finite carrier with the default relation the galaxy is the closure of
+    ``omega``, decided by one early-exit flood.  Otherwise the complement is
+    searched, never the galaxy itself: on an infinite carrier the event must
+    list its complement witnesses, which must lie outside the event and, on
+    a finite carrier, be exactly its complement.
     """
     ev = _as_event(event)
-    if rel is None:
-        rel = reachability_relation(model)
     witnesses = ev.complement_witnesses
     if witnesses is None:
-        if getattr(model, "states", None) is None:
+        if not _finite_carrier(model):
             raise ValueError(
                 "subjective common knowledge on an infinite carrier needs complement witnesses"
             )
+        if rel is None:
+            return _closure_within(model, ev, omega)
         witnesses = tuple(s for s in model.states if not ev.contains(s))
+    else:
+        _check_witnesses(model, ev, witnesses)
+    if rel is None:
+        rel = reachability_relation(model)
     return not any(rel.related(x, omega) for x in witnesses)
 
 
@@ -334,7 +381,7 @@ class _UnionFind:
 
 def meet(model: Any) -> tuple:
     """Finest common coarsening of all agents' partitions (union-find route)."""
-    if getattr(model, "states", None) is None:
+    if not _finite_carrier(model):
         raise ValueError("the meet needs an explicit finite carrier")
     uf = _UnionFind(model.states)
     for agent in model.agents:

@@ -145,6 +145,13 @@ def test_infinite_carrier_refuses_enumeration():
         ck_subjective(game, bare_event, state_b(3))
 
 
+def test_infinite_carrier_rejects_witness_inside_event():
+    game = EmailGameModel()
+    bad = Event.from_predicate(lambda s: s.tag == "b", complement_witnesses=(STATE_A, state_b(2)))
+    with pytest.raises(ValueError, match="inside the event"):
+        ck_subjective(game, bad, state_b(huge(1, 0)))
+
+
 def test_ast_possibility():
     assert check_ast_possibility(state_b(huge(1, 0)))
     assert check_ast_possibility(state_b(huge(1, -10)))

@@ -188,12 +188,39 @@ def test_ck_classical_matches_meet_cell():
 
 
 def test_ck_subjective_equals_classical_on_finite_models():
+    # An explicit relation takes the metric route over the enumerated
+    # complement, so the two sides share no kernel.
     rng = random.Random(29)
     for _ in range(20):
         model = helpers.random_model(rng)
+        rel = reachability_relation(model)
         for event in helpers.all_events(model.states):
             for omega in model.states:
-                assert ck_subjective(model, event, omega) == ck_classical(model, event, omega)
+                assert ck_subjective(model, event, omega, rel) == ck_classical(model, event, omega)
+
+
+def test_ck_flood_matches_witness_loop_and_closure():
+    rng = random.Random(41)
+    for _ in range(40):
+        model = helpers.random_model(rng)
+        for event in helpers.all_events(model.states):
+            complement = tuple(s for s in model.states if s not in event)
+            witnessed = Event(event.__contains__, complement_witnesses=complement)
+            for omega in model.states:
+                expected = model.closure(omega) <= event
+                assert ck_subjective(model, witnessed, omega) == expected
+                assert ck_subjective(model, event, omega) == expected
+                assert ck_classical(model, event, omega) == expected
+
+
+def test_ck_unknown_state_raises():
+    model = mail_chain_model()
+    carrier = frozenset(model.states)
+    for event in (carrier, frozenset({A})):
+        with pytest.raises(ValueError, match="unknown agent/state pair"):
+            ck_subjective(model, event, "nope")
+        with pytest.raises(ValueError, match="unknown agent/state pair"):
+            ck_classical(model, event, "nope")
 
 
 def test_ck_subjective_with_complement_witnesses():
@@ -202,6 +229,20 @@ def test_ck_subjective_with_complement_witnesses():
     assert not ck_subjective(model, b_event, ("b", 3, 3))
     carrier_event = Event.from_predicate(lambda s: True, complement_witnesses=())
     assert ck_subjective(model, carrier_event, A)
+
+
+def test_ck_subjective_rejects_bad_complement_witnesses():
+    model = mail_chain_model()
+    inside = Event.from_predicate(lambda s: s[0] == "b", complement_witnesses=(A, ("b", 2, 2)))
+    with pytest.raises(ValueError, match="inside the event"):
+        ck_subjective(model, inside, ("b", 3, 3))
+    # Missing the only outside state would make B look like common knowledge.
+    short = Event.from_predicate(lambda s: s[0] == "b", complement_witnesses=())
+    with pytest.raises(ValueError, match="exactly the event's complement"):
+        ck_subjective(model, short, ("b", 3, 3))
+    stray = Event.from_predicate(lambda s: s[0] == "b", complement_witnesses=(A, ("c", 0, 0)))
+    with pytest.raises(ValueError, match="exactly the event's complement"):
+        ck_subjective(model, stray, ("b", 3, 3))
 
 
 def test_ck_region_membership():
