@@ -1,7 +1,7 @@
 """Command-line front end: run the checks, emit deterministic reports.
 
 Exit codes: 0 when the requested check passes, 1 when it fails, 2 on usage
-or validation errors.
+or validation errors, 3 when the program itself fails (an internal error).
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from .hypernat import finite, parse_hypernat
 from .reports import CheckReport, jsonable
 from .sorites import chain_relation
 
-EXIT_PASS, EXIT_FAIL, EXIT_USAGE = 0, 1, 2
+EXIT_PASS, EXIT_FAIL, EXIT_USAGE, EXIT_INTERNAL = 0, 1, 2, 3
 
 
 class UsageError(Exception):
@@ -242,21 +242,29 @@ def main(argv: Optional[list] = None) -> int:
     args = parser.parse_args(argv)
     try:
         report, extras = args.handler(args)
+        output = _render(report, extras, args.format)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    if args.format == "json":
+    except Exception as exc:  # a crash must not read as a failed check
+        detail = [type(exc).__name__] + str(exc).strip().splitlines()[:1]
+        print(f"error: internal error: {': '.join(detail)}", file=sys.stderr)
+        return EXIT_INTERNAL
+    print(output)
+    return EXIT_PASS if report.passed else EXIT_FAIL
+
+
+def _render(report: CheckReport, extras: Optional[dict], fmt: str) -> str:
+    if fmt == "json":
         payload = report.to_dict()
         if extras:
             payload.update(jsonable(extras))
-        print(json.dumps(payload, indent=2))
-    else:
-        print(report.to_text())
-        if extras and "meet" in extras:
-            print("meet:")
-            for block in extras["meet"]:
-                print("  " + ", ".join(block))
-    return EXIT_PASS if report.passed else EXIT_FAIL
+        return json.dumps(payload, indent=2)
+    lines = [report.to_text()]
+    if extras and "meet" in extras:
+        lines.append("meet:")
+        lines.extend("  " + ", ".join(block) for block in extras["meet"])
+    return "\n".join(lines)
 
 
 if __name__ == "__main__":

@@ -20,7 +20,7 @@ rational arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Tuple, Union
 
@@ -65,13 +65,19 @@ def _as_count(value: Union[int, HyperNat]) -> HyperNat:
     raise TypeError("message counts are HyperNat or int")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EmailGameState:
-    """A state ``(tag, t, t')`` with ``t' = t - delta``; ``t`` may be huge."""
+    """A state ``(tag, t, t')`` with ``t' = t - delta``; ``t`` may be huge.
+
+    The hash is computed once, at construction: states are hashed on every
+    cell and set lookup.  Equality tests identity first, so lookups of the
+    very object a model stores never compare fields.
+    """
 
     tag: str
     t: HyperNat
     delta: int
+    _hash: int = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.tag not in ("a", "b"):
@@ -84,10 +90,30 @@ class EmailGameState:
             raise ValueError("the only a-state is (a,0,0)")
         if self.tag == "b" and self.t < _ONE:
             raise ValueError("b-states need t >= 1")
+        object.__setattr__(self, "_hash", hash((self.tag, self.t, self.delta)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if not isinstance(other, EmailGameState):
+            return NotImplemented
+        return (
+            self._hash == other._hash
+            and self.delta == other.delta
+            and self.t == other.t
+            and self.tag == other.tag
+        )
+
+    def __reduce__(self) -> tuple:
+        # String hashes differ between processes: rebuild, never copy _hash.
+        return (EmailGameState, (self.tag, self.t, self.delta))
 
     @property
     def t_prime(self) -> HyperNat:
-        return self.t - finite(self.delta)
+        return self.t - _ONE if self.delta else self.t
 
     def __str__(self) -> str:
         return f"({self.tag},{self.t},{self.t_prime})"
@@ -164,10 +190,12 @@ def truncated_model(T: int) -> AumannModel:
     """
     if T < 1:
         raise ValueError("truncation bound must be >= 1")
-    part1 = [[STATE_A]] + [[state_b(t, 1), state_b(t, 0)] for t in range(1, T + 1)]
-    part2 = [[STATE_A, state_b(1, 1)]]
-    part2 += [[state_b(t, 0), state_b(t + 1, 1)] for t in range(1, T)]
-    part2 += [[state_b(T, 0)]]
+    # Each state is built once and shared by both partitions, so cell and
+    # set lookups of model states hit on identity.
+    top = [state_b(t, 0) for t in range(1, T + 1)]  # (b,t,t)
+    low = [state_b(t, 1) for t in range(1, T + 1)]  # (b,t,t-1)
+    part1 = [[STATE_A]] + [[lo, hi] for lo, hi in zip(low, top)]
+    part2 = [[STATE_A, low[0]]] + [[hi, lo] for hi, lo in zip(top, low[1:])] + [[top[-1]]]
     return AumannModel((1, 2), {1: part1, 2: part2})
 
 

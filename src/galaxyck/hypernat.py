@@ -14,8 +14,7 @@ library ever needs the product of two huge values.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from functools import total_ordering
+from dataclasses import FrozenInstanceError
 from typing import Optional, Union
 
 __all__ = ["HyperNat", "finite", "huge", "parse_hypernat", "gap"]
@@ -34,31 +33,41 @@ def _coerce(value: Union["HyperNat", int]) -> Optional["HyperNat"]:
     if isinstance(value, HyperNat):
         return value
     if isinstance(value, int) and not isinstance(value, bool):
-        return finite(value)
+        # Negative ints go through finite() for its error.
+        return _make(0, value) if value >= 0 else finite(value)
     return None
 
 
-@total_ordering
-@dataclass(frozen=True, eq=False)
 class HyperNat:
     """A natural number that is either finite or huge.
 
     ``omega_coeff`` counts multiples of the anchor, ``offset`` is the finite
-    displacement.  Instances are immutable and hashable.  Plain nonnegative
-    ints mix freely on either side of arithmetic and comparisons and are
-    treated as finite values.
+    displacement.  Instances are immutable and hashable; a finite value
+    hashes as its int, so it is interchangeable with that int in sets and
+    dict keys.  Plain nonnegative ints mix freely on either side of
+    arithmetic and comparisons and are treated as finite values.
     """
 
-    omega_coeff: int
-    offset: int
+    __slots__ = ("omega_coeff", "offset")
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.omega_coeff, int) or not isinstance(self.offset, int):
+    def __init__(self, omega_coeff: int, offset: int) -> None:
+        if not isinstance(omega_coeff, int) or not isinstance(offset, int):
             raise TypeError("HyperNat components must be plain ints")
-        if self.omega_coeff < 0:
+        if omega_coeff < 0:
             raise ValueError("anchor coefficient must be nonnegative")
-        if self.omega_coeff == 0 and self.offset < 0:
+        if omega_coeff == 0 and offset < 0:
             raise ValueError("finite values must be nonnegative")
+        _set_coeff(self, omega_coeff)
+        _set_offset(self, offset)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:
+        return (HyperNat, (self.omega_coeff, self.offset))
 
     @property
     def is_finite(self) -> bool:
@@ -68,57 +77,81 @@ class HyperNat:
     def is_huge(self) -> bool:
         return self.omega_coeff > 0
 
-    def _key(self) -> tuple:
-        return (self.omega_coeff, self.offset)
-
     def compare(self, other: Union["HyperNat", int]) -> int:
         """Three-way comparison: -1, 0 or 1."""
-        o = _coerce(other)
+        o = other if isinstance(other, HyperNat) else _coerce(other)
         if o is None:
             raise TypeError(f"cannot compare HyperNat with {type(other).__name__}")
-        if self._key() == o._key():
-            return 0
-        return -1 if self._key() < o._key() else 1
+        if self.omega_coeff != o.omega_coeff:
+            return -1 if self.omega_coeff < o.omega_coeff else 1
+        if self.offset != o.offset:
+            return -1 if self.offset < o.offset else 1
+        return 0
 
     def __eq__(self, other: object) -> bool:
-        o = _coerce(other)  # type: ignore[arg-type]
-        if o is None:
-            return NotImplemented
-        return self._key() == o._key()
+        if isinstance(other, HyperNat):
+            return self.offset == other.offset and self.omega_coeff == other.omega_coeff
+        if isinstance(other, int) and not isinstance(other, bool):
+            return self.omega_coeff == 0 and self.offset == other  # never a negative int
+        return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self._key())
+        if self.omega_coeff == 0:
+            return hash(self.offset)
+        return hash((self.omega_coeff, self.offset))
 
     def __lt__(self, other: Union["HyperNat", int]) -> bool:
-        o = _coerce(other)
+        o = other if isinstance(other, HyperNat) else _coerce(other)
         if o is None:
             return NotImplemented
-        return self._key() < o._key()
+        c, oc = self.omega_coeff, o.omega_coeff
+        return c < oc or (c == oc and self.offset < o.offset)
+
+    def __le__(self, other: Union["HyperNat", int]) -> bool:
+        o = other if isinstance(other, HyperNat) else _coerce(other)
+        if o is None:
+            return NotImplemented
+        c, oc = self.omega_coeff, o.omega_coeff
+        return c < oc or (c == oc and self.offset <= o.offset)
+
+    def __gt__(self, other: Union["HyperNat", int]) -> bool:
+        o = other if isinstance(other, HyperNat) else _coerce(other)
+        if o is None:
+            return NotImplemented
+        c, oc = self.omega_coeff, o.omega_coeff
+        return c > oc or (c == oc and self.offset > o.offset)
+
+    def __ge__(self, other: Union["HyperNat", int]) -> bool:
+        o = other if isinstance(other, HyperNat) else _coerce(other)
+        if o is None:
+            return NotImplemented
+        c, oc = self.omega_coeff, o.omega_coeff
+        return c > oc or (c == oc and self.offset >= o.offset)
 
     def __add__(self, other: Union["HyperNat", int]) -> "HyperNat":
-        o = _coerce(other)
+        o = other if isinstance(other, HyperNat) else _coerce(other)
         if o is None:
             return NotImplemented
-        return HyperNat(self.omega_coeff + o.omega_coeff, self.offset + o.offset)
+        return _make(self.omega_coeff + o.omega_coeff, self.offset + o.offset)
 
     __radd__ = __add__
 
     def __sub__(self, other: Union["HyperNat", int]) -> "HyperNat":
-        o = _coerce(other)
+        o = other if isinstance(other, HyperNat) else _coerce(other)
         if o is None:
             return NotImplemented
         coeff = self.omega_coeff - o.omega_coeff
         off = self.offset - o.offset
         if coeff < 0 or (coeff == 0 and off < 0):
             raise ValueError(f"subtraction underflow: {self} - {o}")
-        return HyperNat(coeff, off)
+        return _make(coeff, off)
 
     def __mul__(self, other: int) -> "HyperNat":
         if not isinstance(other, int) or isinstance(other, bool):
             return NotImplemented
         if other < 0:
             raise ValueError("scale factor must be nonnegative")
-        return HyperNat(self.omega_coeff * other, self.offset * other)
+        return _make(self.omega_coeff * other, self.offset * other)
 
     __rmul__ = __mul__
 
@@ -135,6 +168,20 @@ class HyperNat:
 
     def __repr__(self) -> str:
         return f"HyperNat({str(self)!r})"
+
+
+_set_coeff = HyperNat.omega_coeff.__set__  # type: ignore[attr-defined]
+_set_offset = HyperNat.offset.__set__  # type: ignore[attr-defined]
+
+
+def _make(omega_coeff: int, offset: int) -> HyperNat:
+    """Unchecked constructor for results that are valid by construction:
+    sums, checked differences, nonnegative multiples and gaps of valid
+    values."""
+    value = object.__new__(HyperNat)
+    _set_coeff(value, omega_coeff)
+    _set_offset(value, offset)
+    return value
 
 
 def finite(k: int) -> HyperNat:
@@ -172,4 +219,7 @@ def gap(x: Union[HyperNat, int], y: Union[HyperNat, int]) -> HyperNat:
     a, b = _coerce(x), _coerce(y)
     if a is None or b is None:
         raise TypeError("gap expects HyperNat or int endpoints")
-    return a - b if a >= b else b - a
+    coeff, off = a.omega_coeff - b.omega_coeff, a.offset - b.offset
+    if coeff < 0 or (coeff == 0 and off < 0):
+        coeff, off = -coeff, -off
+    return _make(coeff, off)

@@ -30,9 +30,14 @@ Distance = Callable[[Any, Any], Optional[HyperNat]]
 @dataclass(frozen=True)
 class GeneratingSequence:
     """Threshold ladder; sound when strictly increasing, finite-valued and
-    doubling (``2*t(n) <= t(n+1)``)."""
+    doubling (``2*t(n) <= t(n+1)``).
+
+    ``threshold`` must be a pure function of the level: each bound is
+    computed once and memoized.
+    """
 
     threshold: Callable[[int], HyperNat]
+    _bounds: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
     def powers_of_two(cls) -> "GeneratingSequence":
@@ -40,11 +45,14 @@ class GeneratingSequence:
         return cls(lambda n: finite(2**n))
 
     def bound(self, n: int) -> HyperNat:
-        if n < 0:
-            raise ValueError("ladder levels are nonnegative")
-        t = self.threshold(n)
-        if isinstance(t, int):
-            t = finite(t)
+        t = self._bounds.get(n)
+        if t is None:
+            if n < 0:
+                raise ValueError("ladder levels are nonnegative")
+            t = self.threshold(n)
+            if isinstance(t, int):
+                t = finite(t)
+            self._bounds[n] = t
         return t
 
     def doubling_violations(self, n_max: int) -> list:

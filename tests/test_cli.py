@@ -183,3 +183,23 @@ def test_seed_env_var():
 def test_missing_subcommand_is_usage_error():
     assert run_cli("emailgame").returncode == 2
     assert run_cli().returncode == 2
+
+
+@pytest.mark.parametrize(
+    "exc,line",
+    [
+        (RuntimeError("boom\nsecond line"), "error: internal error: RuntimeError: boom"),
+        (MemoryError(), "error: internal error: MemoryError"),
+    ],
+)
+def test_internal_error_exits_three(monkeypatch, capsys, exc, line):
+    from galaxyck import cli
+
+    def crash(args):
+        raise exc
+
+    monkeypatch.setattr(cli, "cmd_email_impossibility", crash)
+    assert cli.main(["emailgame", "impossibility", "--T", "5"]) == cli.EXIT_INTERNAL == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == line + "\n"

@@ -1,6 +1,14 @@
+import copy
+import os
+import pickle
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given
 
 from galaxyck.emailgame import (
     STATE_A,
@@ -121,6 +129,61 @@ def test_truncated_model_matches_display():
     assert got_p2 == expected_p2
     with pytest.raises(ValueError):
         truncated_model(0)
+
+
+@pytest.mark.parametrize("T", [1, 2, 7, 40])
+def test_truncated_model_shares_one_object_per_state(T):
+    model = truncated_model(T)
+    by_id = {id(s) for s in model.states}
+    assert len(by_id) == len(model.states) == 2 * T + 1
+    for agent in model.agents:
+        for block in model.partition(agent):
+            for s in block:
+                assert id(s) in by_id
+        for s in model.states:
+            assert any(member is s for member in model.cell(agent, s))
+
+
+counts = st.one_of(
+    st.integers(1, 10**6).map(finite),
+    st.tuples(st.integers(1, 3), st.integers(-50, 50)).map(lambda ck: huge(*ck)),
+)
+states = st.one_of(st.just(STATE_A), st.tuples(counts, st.integers(0, 1)).map(lambda td: state_b(*td)))
+
+
+def fields(s: EmailGameState):
+    return (s.tag, s.t.omega_coeff, s.t.offset, s.delta)
+
+
+@given(states, states)
+def test_separately_built_states_compare_by_fields(x, y):
+    rebuilt = EmailGameState(x.tag, copy.deepcopy(x.t), x.delta)
+    assert rebuilt is not x
+    assert rebuilt == x and hash(rebuilt) == hash(x)
+    assert (x == y) == (fields(x) == fields(y))
+    assert (x != y) == (fields(x) != fields(y))
+    if x == y:
+        assert hash(x) == hash(y)
+
+
+@given(states)
+def test_state_copy_and_pickle_round_trip(s):
+    for clone in (copy.deepcopy(s), pickle.loads(pickle.dumps(s))):
+        assert clone == s and hash(clone) == hash(s) and clone in {s}
+
+
+def test_pickled_state_rehashes_in_another_process():
+    # The cached hash covers the tag string, whose hash differs per process.
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONHASHSEED="1", PYTHONPATH=str(src))
+    script = (
+        "import pickle, sys\n"
+        "from galaxyck.emailgame import state_b\n"
+        "sys.stdout.buffer.write(pickle.dumps([state_b(3, 1), state_b(3, 0)]))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, env=env, check=True)
+    low, top = pickle.loads(out.stdout)
+    assert low in {state_b(3, 1)} and top in {state_b(3, 0)}
 
 
 def test_classical_impossibility_report():

@@ -1,3 +1,7 @@
+import copy
+import operator
+import pickle
+
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given
@@ -153,3 +157,104 @@ def test_huge_survives_finite_shifts(x, k):
 def test_gap_symmetric(x, y):
     assert gap(x, y) == gap(y, x)
     assert gap(x, x) == 0
+
+
+# --- hash/eq contract, copying, immutability ---------------------------------
+
+
+@given(st.integers(0, 10**30))
+def test_finite_values_hash_as_their_int(k):
+    assert hash(finite(k)) == hash(k)
+    assert finite(k) in {k}
+    assert k in {finite(k)}
+    assert {finite(k): "x"}[k] == "x"
+    # A negative int is never equal, even when its hash collides.
+    assert finite(k) != -k - 1
+    assert -k - 1 not in {finite(k)}
+
+
+def test_negative_int_with_colliding_hash_is_not_a_member():
+    big = 2**61 - 1  # hash(-big) == 0 == hash(0) on 64-bit CPython
+    assert -big not in {finite(0)}
+    assert finite(0) not in {-big}
+
+
+@given(hypernats)
+def test_copy_and_pickle_round_trip(x):
+    for clone in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
+        assert type(clone) is HyperNat
+        assert clone == x and hash(clone) == hash(x)
+        assert (clone.omega_coeff, clone.offset) == (x.omega_coeff, x.offset)
+
+
+def test_immutable():
+    x = huge(1, 3)
+    with pytest.raises(AttributeError):
+        x.offset = 4
+    with pytest.raises(AttributeError):
+        x.omega_coeff = 0
+    with pytest.raises(AttributeError):
+        del x.offset
+    with pytest.raises(AttributeError):
+        x.extra = 1
+    assert x == huge(1, 3)
+
+
+# --- differential: the operators against tuple arithmetic on (c, k) ----------
+
+# Small components make ties and tier boundaries (c == 0, k == 0) common.
+small = st.tuples(st.integers(0, 2), st.integers(-3, 3)).map(
+    lambda ck: HyperNat(ck[0], ck[1] if ck[0] else abs(ck[1]))
+)
+values = st.one_of(small, hypernats)
+operands = st.one_of(values, st.integers(0, 10), st.integers(0, 10**6))
+
+ORDERS = [operator.lt, operator.le, operator.gt, operator.ge, operator.eq, operator.ne]
+
+
+def pair(v):
+    """The oracle's view of an operand: a plain (c, k) tuple."""
+    return (v.omega_coeff, v.offset) if isinstance(v, HyperNat) else (0, v)
+
+
+def revalidated(r):
+    """``r`` is a HyperNat that the checked public constructor accepts."""
+    assert type(r) is HyperNat
+    assert HyperNat(r.omega_coeff, r.offset) == r
+    return pair(r)
+
+
+@given(values, operands)
+def test_comparisons_match_tuple_order(x, y):
+    a, b = pair(x), pair(y)
+    for op in ORDERS:
+        assert op(x, y) == op(a, b)
+        assert op(y, x) == op(b, a)
+    assert x.compare(y) == (a > b) - (a < b)
+
+
+@given(values, operands)
+def test_add_sub_gap_match_tuple_arithmetic(x, y):
+    a, b = pair(x), pair(y)
+    total = (a[0] + b[0], a[1] + b[1])
+    assert revalidated(x + y) == total
+    assert revalidated(y + x) == total
+    for hi, lo, u, v in ((x, y, a, b), (y, x, b, a)):
+        if not isinstance(hi, HyperNat):
+            continue  # int - HyperNat is not supported
+        diff = (u[0] - v[0], u[1] - v[1])
+        if diff >= (0, 0):
+            assert revalidated(hi - lo) == diff
+        else:
+            with pytest.raises(ValueError):
+                hi - lo
+    expected_gap = (max(a, b)[0] - min(a, b)[0], max(a, b)[1] - min(a, b)[1])
+    assert revalidated(gap(x, y)) == expected_gap
+    assert revalidated(gap(y, x)) == expected_gap
+
+
+@given(values, st.integers(0, 50))
+def test_scaling_matches_tuple_arithmetic(x, m):
+    c, k = pair(x)
+    assert revalidated(x * m) == (c * m, k * m)
+    assert revalidated(m * x) == (c * m, k * m)

@@ -81,6 +81,25 @@ def test_custom_int_thresholds_are_coerced():
     assert gen.doubling_violations(5) == []
 
 
+def test_bounds_are_memoized_per_level():
+    calls = []
+
+    def ladder(n):
+        calls.append(n)
+        return finite(2**n)
+
+    gen = GeneratingSequence(ladder)
+    rel = SoritesRelation(dist=gap, gen=gen)
+    sample = [finite(k) for k in range(12)]
+    report = rel.verify_generating_axioms(sample, 4)
+    assert report.to_dict() == chain_relation().verify_generating_axioms(sample, 4).to_dict()
+    assert sorted(calls) == [1, 2, 3, 4, 5]
+    # The memo is not part of the ladder's identity.
+    assert gen == GeneratingSequence(ladder)
+    assert hash(gen) == hash(GeneratingSequence(ladder))
+    assert repr(gen) == repr(GeneratingSequence(ladder))
+
+
 def test_chain_walk_never_exits_at_finite_steps():
     rel = chain_relation()
     a1 = finite(1)
