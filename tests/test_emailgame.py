@@ -328,32 +328,57 @@ def test_cell_by_own_count():
     assert cell_by_own_count(1, w) == {state_b(w, 1), state_b(w, 0)}
 
 
+def case_for(report, agent, count):
+    return next(
+        c for c in report.cases
+        if c.input["agent"] == agent and c.input["own_count"] == count
+    )
+
+
 def test_equilibrium_audit_passes_and_pins_payoffs():
     cutoff = CutoffStrategy.play_a_while_finite()
     report = best_response_check((cutoff, cutoff), PARAMS, range(0, 11), [huge(1, 0)])
     assert report.passed
 
-    def case_for(agent, count):
-        return next(
-            c for c in report.cases
-            if c.input["agent"] == agent and c.input["own_count"] == count
-        )
-
     # agent 2, no messages sent: conditional on {(a,0,0),(b,1,0)}
-    c = case_for(2, "0")
+    c = case_for(report, 2, "0")
     assert c.actual["expected_payoff"] == Fraction(20, 11)
     assert c.actual["deviation_payoff"] == Fraction(-3)
 
     # agent 1 mid-chain: both cell states are game b, opponent plays A
-    c = case_for(1, "3")
+    c = case_for(report, 1, "3")
     assert c.actual["expected_payoff"] == Fraction(0)
     assert c.actual["deviation_payoff"] == Fraction(-3)
 
     # huge cell: pointwise, B earns M in both states, A earns 0
-    c = case_for(1, "w+0")
+    c = case_for(report, 1, "w+0")
     assert c.actual["basis"] == "pointwise"
     assert c.actual["prescribed_payoffs"] == [Fraction(2), Fraction(2)]
     assert c.actual["deviation_payoffs"] == [Fraction(0), Fraction(0)]
+
+
+def test_equilibrium_audit_reports_profitable_deviations():
+    # Agent 1 plays the inverted cutoff (B while finite, A once huge) against
+    # the cutoff: every cell has a strictly better deviation.
+    cutoff = CutoffStrategy.play_a_while_finite()
+    inverted = CutoffStrategy(rule=lambda count: "B" if count.is_finite else "A")
+    report = best_response_check((inverted, cutoff), PARAMS, range(0, 4), [huge(1, 0)])
+    assert report.cases and not any(c.passed for c in report.cases)
+
+    # agent 2, no messages sent: agent 1 plays B in both (a,0,0) and (b,1,0),
+    # so B earns M in (b,1,0) alone, weighted p*eps : (1-p)
+    c = case_for(report, 2, "0")
+    assert c.actual["basis"] == "expected"
+    assert (c.actual["prescribed"], c.actual["deviation"]) == ("A", "B")
+    assert c.actual["expected_payoff"] == Fraction(0)
+    assert c.actual["deviation_payoff"] == Fraction(2, 11)
+
+    # huge cell: agent 2 plays B at w-1 and w, so A earns 0 and B earns M
+    c = case_for(report, 1, "w+0")
+    assert c.actual["basis"] == "pointwise"
+    assert c.actual["prescribed_payoffs"] == [Fraction(0), Fraction(0)]
+    assert c.actual["deviation_payoffs"] == [Fraction(2), Fraction(2)]
+    assert c.actual["verdict"] == "profitable deviation"
 
 
 def test_equilibrium_holds_with_unit_payoffs():
