@@ -8,8 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
-import random
 import sys
 from typing import Optional
 
@@ -28,6 +26,7 @@ from .reports import CheckReport, jsonable
 from .sorites import chain_relation
 
 EXIT_PASS, EXIT_FAIL, EXIT_USAGE, EXIT_INTERNAL = 0, 1, 2, 3
+MAX_RANGE = 10_000  # counts in one "lo..hi" sample range
 
 
 class UsageError(Exception):
@@ -53,7 +52,8 @@ def _hyper_list(text: str) -> list:
 
 
 def _int_samples(text: str) -> list:
-    """Either a comma list ("0,1,2") or an inclusive range ("0..10")."""
+    """Either a comma list ("0,1,2") or an inclusive range ("0..10") of at
+    most MAX_RANGE counts."""
     if ".." in text:
         lo_text, hi_text = text.split("..", 1)
         try:
@@ -62,6 +62,8 @@ def _int_samples(text: str) -> list:
             raise UsageError(f"bad range {text!r}") from None
         if lo > hi:
             raise UsageError(f"empty range {text!r}")
+        if hi - lo >= MAX_RANGE:
+            raise UsageError(f"range {text!r} has more than {MAX_RANGE} counts")
         return list(range(lo, hi + 1))
     try:
         return [int(token) for token in _split_csv(text)]
@@ -231,13 +233,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list] = None) -> int:
-    seed = os.environ.get("SORITES_SEED")
-    if seed is not None:
-        try:
-            random.seed(int(seed))
-        except ValueError:
-            print("error: SORITES_SEED must be an integer", file=sys.stderr)
-            return EXIT_USAGE
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

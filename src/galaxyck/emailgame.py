@@ -248,24 +248,18 @@ def check_monotone_ck(samples: Iterable[Union[int, HyperNat]]) -> CheckReport:
             report.add({"t": str(tau)}, note, note, True)
             continue
         here = check_ast_possibility(state_b(tau))
-        if here:
-            neighbor = tau - _ONE
-            persisted = check_ast_possibility(state_b(neighbor))
-            report.add(
-                {"t": str(tau), "ck": True, "neighbor": str(neighbor)},
-                "still common knowledge one step down",
-                "common knowledge" if persisted else "not common knowledge",
-                persisted,
-            )
-        else:
-            neighbor = tau + _ONE
-            persisted = not check_ast_possibility(state_b(neighbor))
-            report.add(
-                {"t": str(tau), "ck": False, "neighbor": str(neighbor)},
-                "still not common knowledge one step up",
-                "not common knowledge" if persisted else "common knowledge",
-                persisted,
-            )
+        neighbor = tau - _ONE if here else tau + _ONE
+        there = check_ast_possibility(state_b(neighbor))
+        report.add(
+            {"t": str(tau), "ck": here, "neighbor": str(neighbor)},
+            (
+                "still common knowledge one step down"
+                if here
+                else "still not common knowledge one step up"
+            ),
+            "common knowledge" if there else "not common knowledge",
+            there == here,
+        )
     return report
 
 
@@ -371,10 +365,6 @@ def cell_by_own_count(agent: int, count: Union[int, HyperNat]) -> frozenset:
     return cell(agent, STATE_A if count == _ZERO else state_b(count, 0))
 
 
-def _own_count(agent: int, s: EmailGameState) -> HyperNat:
-    return s.t if agent == 1 else s.t_prime
-
-
 def best_response_check(
     strategies: Tuple[CutoffStrategy, CutoffStrategy],
     params: PayoffParams,
@@ -383,10 +373,11 @@ def best_response_check(
 ) -> CheckReport:
     """Cell-by-cell best-response audit of a strategy pair.
 
-    Finite cells compare conditional expected payoffs, renormalized on the
-    cell (exact rationals throughout: the comparisons are strict
-    inequalities).  Huge cells carry no probabilities, so the comparison is
-    pointwise per state; if the preference ever differed across one huge
+    Each cell state gives one row of (prescribed, deviation) payoffs.
+    Finite cells compare the rows' conditional expectations, renormalized
+    on the cell (exact rationals throughout: the comparisons are strict
+    inequalities).  Huge cells carry no probabilities, so the rows are
+    compared pointwise; if the preference ever differed across one huge
     cell the verdict would depend on unassigned probabilities, which the
     report flags as insufficient information.
     """
@@ -417,42 +408,13 @@ def best_response_check(
 
     for agent in (1, 2):
         opp = 3 - agent
-        for count in finite_counts:
-            cellstates = sorted(cell_by_own_count(agent, count), key=str)
-            prescribed = strat[agent - 1].action(count)
-            deviation = "B" if prescribed == "A" else "A"
-            weights = {s: state_probability(s, params) for s in cellstates}
-            total = sum(weights.values())
-
-            def conditional(action: Action) -> Fraction:
-                acc = Fraction(0)
-                for s in cellstates:
-                    opp_action = strat[opp - 1].action(_own_count(opp, s))
-                    pair = (action, opp_action) if agent == 1 else (opp_action, action)
-                    acc += weights[s] * payoff_pair(s.tag, *pair, params)[agent - 1]
-                return acc / total
-
-            value = conditional(prescribed)
-            dev_value = conditional(deviation)
-            report.add(
-                {"agent": agent, "own_count": str(count), "cell": [str(s) for s in cellstates]},
-                "prescribed action is a best response",
-                {
-                    "basis": "expected",
-                    "prescribed": prescribed,
-                    "expected_payoff": value,
-                    "deviation": deviation,
-                    "deviation_payoff": dev_value,
-                },
-                dev_value <= value,
-            )
-        for count in huge_counts:
+        for count in finite_counts + huge_counts:
             cellstates = sorted(cell_by_own_count(agent, count), key=str)
             prescribed = strat[agent - 1].action(count)
             deviation = "B" if prescribed == "A" else "A"
             rows = []
             for s in cellstates:
-                opp_action = strat[opp - 1].action(_own_count(opp, s))
+                opp_action = strat[opp - 1].action(s.t if opp == 1 else s.t_prime)
                 pres_pair = (prescribed, opp_action) if agent == 1 else (opp_action, prescribed)
                 dev_pair = (deviation, opp_action) if agent == 1 else (opp_action, deviation)
                 rows.append(
@@ -461,26 +423,41 @@ def best_response_check(
                         payoff_pair(s.tag, *dev_pair, params)[agent - 1],
                     )
                 )
-            if all(dev <= pres for pres, dev in rows):
-                verdict, ok = "no profitable deviation", True
-            elif all(dev > pres for pres, dev in rows):
-                verdict, ok = "profitable deviation", False
+            if count.is_finite:
+                weights = [state_probability(s, params) for s in cellstates]
+                total = sum(weights)
+                value = sum(w * pres for w, (pres, _) in zip(weights, rows)) / total
+                dev_value = sum(w * dev for w, (_, dev) in zip(weights, rows)) / total
+                actual = {
+                    "basis": "expected",
+                    "prescribed": prescribed,
+                    "expected_payoff": value,
+                    "deviation": deviation,
+                    "deviation_payoff": dev_value,
+                }
+                ok = dev_value <= value
             else:
-                verdict, ok = (
-                    "insufficient information: preference depends on cell probabilities",
-                    False,
-                )
-            report.add(
-                {"agent": agent, "own_count": str(count), "cell": [str(s) for s in cellstates]},
-                "prescribed action is a best response",
-                {
+                if all(dev <= pres for pres, dev in rows):
+                    verdict, ok = "no profitable deviation", True
+                elif all(dev > pres for pres, dev in rows):
+                    verdict, ok = "profitable deviation", False
+                else:
+                    verdict, ok = (
+                        "insufficient information: preference depends on cell probabilities",
+                        False,
+                    )
+                actual = {
                     "basis": "pointwise",
                     "prescribed": prescribed,
                     "prescribed_payoffs": [pres for pres, _ in rows],
                     "deviation": deviation,
                     "deviation_payoffs": [dev for _, dev in rows],
                     "verdict": verdict,
-                },
+                }
+            report.add(
+                {"agent": agent, "own_count": str(count), "cell": [str(s) for s in cellstates]},
+                "prescribed action is a best response",
+                actual,
                 ok,
             )
     return report

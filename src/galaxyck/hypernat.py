@@ -146,6 +146,12 @@ class HyperNat:
             raise ValueError(f"subtraction underflow: {self} - {o}")
         return _make(coeff, off)
 
+    def __rsub__(self, other: int) -> "HyperNat":
+        o = _coerce(other)
+        if o is None:
+            return NotImplemented
+        return o - self
+
     def __mul__(self, other: int) -> "HyperNat":
         if not isinstance(other, int) or isinstance(other, bool):
             return NotImplemented

@@ -17,7 +17,6 @@ MODEL_DOC = {
 
 def run_cli(*args, env_extra=None):
     env = os.environ.copy()
-    env.pop("SORITES_SEED", None)
     if env_extra:
         env.update(env_extra)
     return subprocess.run(
@@ -129,6 +128,23 @@ def test_emailgame_equilibrium():
     assert run_cli("emailgame", "equilibrium", "--finite-samples", "5..1").returncode == 2
 
 
+def test_int_samples_caps_ranges():
+    from galaxyck import cli
+
+    assert cli._int_samples("0..9999") == list(range(10_000))
+    with pytest.raises(cli.UsageError, match="more than 10000 counts"):
+        cli._int_samples("0..10000")
+
+
+def test_huge_sample_range_is_usage_error():
+    result = run_cli("emailgame", "equilibrium", "--finite-samples", "0..100000000000000")
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr.splitlines() == [
+        "error: range '0..100000000000000' has more than 10000 counts"
+    ]
+
+
 def test_sorites_demo_verdicts():
     result = run_cli("sorites", "demo", "--alpha", "w+0", "--probes", "10,1000000,w+0,w-5")
     assert result.returncode == 0
@@ -173,11 +189,11 @@ def test_text_format_model_check(model_file):
     assert "meet:" in result.stdout
 
 
-def test_seed_env_var():
-    ok = run_cli("sorites", "demo", env_extra={"SORITES_SEED": "42"})
-    assert ok.returncode == 0
-    bad = run_cli("sorites", "demo", env_extra={"SORITES_SEED": "abc"})
-    assert bad.returncode == 2
+def test_seed_env_var_has_no_effect():
+    plain = run_cli("sorites", "demo")
+    seeded = run_cli("sorites", "demo", env_extra={"SORITES_SEED": "abc"})
+    assert plain.returncode == seeded.returncode == 0
+    assert seeded.stdout == plain.stdout
 
 
 def test_missing_subcommand_is_usage_error():

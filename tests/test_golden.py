@@ -24,7 +24,6 @@ CASES = json.loads((GOLDEN / "cases.json").read_text(encoding="utf-8"))
 
 def run_case(argv):
     env = os.environ.copy()
-    env.pop("SORITES_SEED", None)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-m", "galaxyck", *argv], capture_output=True, cwd=GOLDEN, env=env
