@@ -7,6 +7,7 @@ or validation errors, 3 when the program itself fails (an internal error).
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import sys
 from typing import Optional
@@ -27,6 +28,9 @@ from .sorites import chain_relation
 
 EXIT_PASS, EXIT_FAIL, EXIT_USAGE, EXIT_INTERNAL = 0, 1, 2, 3
 MAX_RANGE = 10_000  # counts in one "lo..hi" sample range
+MAX_COUNT_CHARS = 1000  # characters in one count, so that count+1 still renders
+MAX_T = 1000  # largest e-mail-game truncation, a model of 2*MAX_T+1 states
+MAX_FILE_BYTES = 16 * 1024 * 1024  # largest model document read
 
 
 class UsageError(Exception):
@@ -34,6 +38,8 @@ class UsageError(Exception):
 
 
 def _hyper(text: str):
+    if len(text) > MAX_COUNT_CHARS:
+        raise UsageError(f"a count has at most {MAX_COUNT_CHARS} characters, got {len(text)}")
     try:
         return parse_hypernat(text)
     except ValueError as exc:
@@ -71,16 +77,30 @@ def _int_samples(text: str) -> list:
         raise UsageError(f"bad integer list {text!r}") from None
 
 
-def cmd_model_check(args) -> tuple:
+def _load_json(path: str):
+    """Parse a JSON document of at most MAX_FILE_BYTES bytes, reading no
+    more than one 64 KiB chunk past that; anything unreadable, too large or
+    malformed is a usage error."""
+    data = bytearray()
     try:
-        with open(args.file, "r", encoding="utf-8") as handle:
-            payload = json.load(handle)
+        with open(path, "rb") as handle:
+            # In chunks: one read of MAX_FILE_BYTES would allocate that much.
+            while len(data) <= MAX_FILE_BYTES and (chunk := handle.read(1 << 16)):
+                data += chunk
     except OSError as exc:
-        raise UsageError(f"cannot read {args.file}: {exc}") from None
+        raise UsageError(f"cannot read {path}: {exc}") from None
+    if len(data) > MAX_FILE_BYTES:
+        raise UsageError(f"{path}: larger than {MAX_FILE_BYTES} bytes")
+    try:  # a text handle like open(path) gives: the same newlines and error positions
+        return json.load(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
     except json.JSONDecodeError as exc:
-        raise UsageError(
-            f"{args.file}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}"
-        ) from None
+        raise UsageError(f"{path}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}") from None
+    except (ValueError, RecursionError) as exc:  # bad UTF-8, overlong ints, deep nesting
+        raise UsageError(f"{path}: invalid JSON: {exc}") from None
+
+
+def cmd_model_check(args) -> tuple:
+    payload = _load_json(args.file)
     try:
         model, events = model_from_dict(payload)
     except ModelFormatError as exc:
@@ -111,6 +131,8 @@ def cmd_model_check(args) -> tuple:
 def cmd_email_impossibility(args) -> tuple:
     if args.truncation < 1:
         raise UsageError("--T must be >= 1")
+    if args.truncation > MAX_T:
+        raise UsageError(f"--T must be <= {MAX_T}")
     return check_classical_impossibility(args.truncation), None
 
 

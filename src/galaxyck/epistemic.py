@@ -7,7 +7,11 @@ breadth-first metric whose connected components are the carrier's
 reachability classes.  On top of that sit the knowledge operators and two
 common-knowledge tests: the classical one (the closure of the true state
 lies inside the event) and the subjective one (nothing outside the event is
-at finite link distance from the true state).
+at finite link distance from the true state).  On a finite carrier both
+reduce to one question, answered from a component index that each model
+builds once by union-find and caches: does the true state's block of the
+meet lie inside the event?  The breadth-first ``closure``, ``components``
+and ``distances_from`` never read that index; they are its oracles.
 
 Infinite carriers can stand in for an ``AumannModel`` wherever closed forms
 exist: such a model must expose ``agents``, ``cell(agent, state)`` and
@@ -94,6 +98,7 @@ class AumannModel:
                 raise ValueError(f"agent {agent!r} partitions a different carrier")
             self._partitions[agent] = cells
         self._states = tuple(sorted(carrier, key=str))
+        self._index: Optional[tuple] = None
 
     @property
     def agents(self) -> tuple:
@@ -166,6 +171,47 @@ class AumannModel:
             seen |= comp
             comps.append(comp)
         return tuple(comps)
+
+    def component_index(self) -> tuple:
+        """The meet's blocks, sorted by their first state, and a map from
+        each state to its block.
+
+        Built on first use by one union-find over the cells and cached, so
+        every later meet or common-knowledge query on the model reads it.
+        """
+        if self._index is None:
+            uf = _UnionFind(self._states)
+            for cells in self._partitions.values():
+                for cell in cells:
+                    anchor = next(iter(cell))
+                    for s in cell:
+                        uf.union(anchor, s)
+            groups: dict = {}
+            for s in self._states:
+                groups.setdefault(uf.find(s), []).append(s)
+            blocks = tuple(
+                frozenset(g) for g in sorted(groups.values(), key=lambda g: str(g[0]))
+            )
+            self._index = (blocks, {s: block for block in blocks for s in block})
+        return self._index
+
+
+class _UnionFind:
+    def __init__(self, items: Iterable):
+        self._parent = {x: x for x in items}
+
+    def find(self, x):
+        root = x
+        while self._parent[root] != root:
+            root = self._parent[root]
+        while self._parent[x] != root:
+            self._parent[x], x = root, self._parent[x]
+        return root
+
+    def union(self, a, b) -> None:
+        ra, rb = self.find(a), self.find(b)
+        if ra != rb:
+            self._parent[rb] = ra
 
 
 @dataclass(frozen=True)
@@ -274,31 +320,19 @@ def knows_group(model: Any, event: Any) -> frozenset:
     return frozenset(result or frozenset())
 
 
-def _closure_within(model: Any, ev: Event, omega: State) -> bool:
-    """Does every state reachable from ``omega`` lie in the event?
+def _block_within(model: AumannModel, ev: Event, omega: State) -> bool:
+    """Does the block of the meet holding ``omega`` lie in the event?
 
-    One breadth-first flood from ``omega`` that stops at the first reached
-    state outside the event, so a negative verdict costs only the ball out
-    to the nearest such state.  On a finite carrier every reachable state
-    is at finite link distance, which makes this both CK tests at once.
+    On a finite carrier every reachable state is at finite link distance,
+    so this is both CK tests at once.  The block comes from the model's
+    cached component index, so a query costs one subset test.
     """
-    model.cell(model.agents[0], omega)  # validates the state, as distances_from does
-    if not ev.contains(omega):
-        return False
-    seen = {omega}
-    frontier = [omega]
-    while frontier:
-        next_frontier = []
-        for s in frontier:
-            for agent in model.agents:
-                for t in model.cell(agent, s):
-                    if t not in seen:
-                        if not ev.contains(t):
-                            return False
-                        seen.add(t)
-                        next_frontier.append(t)
-        frontier = next_frontier
-    return True
+    block = model.component_index()[1].get(omega)
+    if block is None:
+        model.cell(model.agents[0], omega)  # raises: omega is not a state of the model
+    if ev.members is not None:
+        return block <= ev.members
+    return all(ev.contains(t) for t in block)
 
 
 def ck_classical(model: Any, event: Any, omega: State) -> bool:
@@ -306,7 +340,7 @@ def ck_classical(model: Any, event: Any, omega: State) -> bool:
     ev = _as_event(event)
     if not _finite_carrier(model):
         raise ValueError("classical common knowledge needs an enumerable reachability closure")
-    return _closure_within(model, ev, omega)
+    return _block_within(model, ev, omega)
 
 
 def reachability_relation(model: Any, gen: Optional[GeneratingSequence] = None) -> SoritesRelation:
@@ -333,11 +367,12 @@ def ck_subjective(
     """Subjective test: nothing outside the event is at finite link distance.
 
     Equivalently, the galaxy of ``omega`` is contained in the event.  On a
-    finite carrier with the default relation the galaxy is the closure of
-    ``omega``, decided by one early-exit flood.  Otherwise the complement is
-    searched, never the galaxy itself: on an infinite carrier the event must
-    list its complement witnesses, which must lie outside the event and, on
-    a finite carrier, be exactly its complement.
+    finite carrier with the default relation the galaxy is the block of the
+    meet holding ``omega``, read from the model's component index.
+    Otherwise the complement is searched, never the galaxy itself: on an
+    infinite carrier the event must list its complement witnesses, which
+    must lie outside the event and, on a finite carrier, be exactly its
+    complement.
     """
     ev = _as_event(event)
     witnesses = ev.complement_witnesses
@@ -347,7 +382,7 @@ def ck_subjective(
                 "subjective common knowledge on an infinite carrier needs complement witnesses"
             )
         if rel is None:
-            return _closure_within(model, ev, omega)
+            return _block_within(model, ev, omega)
         witnesses = tuple(s for s in model.states if not ev.contains(s))
     else:
         _check_witnesses(model, ev, witnesses)
@@ -361,38 +396,11 @@ def ck_region(model: Any, event: Any, rel: Optional[SoritesRelation] = None) -> 
     return Event.from_predicate(lambda omega: ck_subjective(model, event, omega, rel))
 
 
-class _UnionFind:
-    def __init__(self, items: Iterable):
-        self._parent = {x: x for x in items}
-
-    def find(self, x):
-        root = x
-        while self._parent[root] != root:
-            root = self._parent[root]
-        while self._parent[x] != root:
-            self._parent[x], x = root, self._parent[x]
-        return root
-
-    def union(self, a, b) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self._parent[rb] = ra
-
-
 def meet(model: Any) -> tuple:
     """Finest common coarsening of all agents' partitions (union-find route)."""
     if not _finite_carrier(model):
         raise ValueError("the meet needs an explicit finite carrier")
-    uf = _UnionFind(model.states)
-    for agent in model.agents:
-        for cell in model.partition(agent):
-            anchor = next(iter(cell))
-            for s in cell:
-                uf.union(anchor, s)
-    blocks: dict = {}
-    for s in model.states:
-        blocks.setdefault(uf.find(s), []).append(s)
-    return tuple(frozenset(b) for b in sorted(blocks.values(), key=lambda b: str(b[0])))
+    return model.component_index()[0]
 
 
 def meet_equals_galaxies(model: Any) -> CheckReport:
@@ -474,12 +482,15 @@ def model_from_dict(payload: Any) -> tuple:
             where = f"{base}.partition[{j}]"
             if not isinstance(cell, list) or not cell:
                 raise ModelFormatError(where, "cells are nonempty lists of states")
-            for s in cell:
-                if s not in carrier:
-                    raise ModelFormatError(where, f"unknown state {s!r}")
-                if s in seen:
-                    raise ModelFormatError(where, f"state {s!r} appears in two cells")
-                seen.add(s)
+            try:
+                for s in cell:
+                    if s not in carrier:
+                        raise ModelFormatError(where, f"unknown state {s!r}")
+                    if s in seen:
+                        raise ModelFormatError(where, f"state {s!r} appears in two cells")
+                    seen.add(s)
+            except TypeError:  # an unhashable member, such as a list
+                raise ModelFormatError(where, f"unknown state {s!r}") from None
             parsed_cells.append(cell)
         missing = carrier - seen
         if missing:
@@ -495,9 +506,12 @@ def model_from_dict(payload: Any) -> tuple:
         where = f"events.{name}"
         if not isinstance(members, list):
             raise ModelFormatError(where, "events are lists of states")
-        for s in members:
-            if s not in carrier:
-                raise ModelFormatError(where, f"unknown state {s!r}")
+        try:
+            for s in members:
+                if s not in carrier:
+                    raise ModelFormatError(where, f"unknown state {s!r}")
+        except TypeError:  # an unhashable member, such as a list
+            raise ModelFormatError(where, f"unknown state {s!r}") from None
         events[name] = frozenset(members)
 
     return AumannModel(agents, partitions), events

@@ -5,6 +5,8 @@ import sys
 
 import pytest
 
+from galaxyck.hypernat import finite
+
 MODEL_DOC = {
     "states": ["w1", "w2", "w3", "w4"],
     "agents": [
@@ -97,6 +99,78 @@ def test_emailgame_impossibility():
     assert payload["params"] == {"T": 5}
     assert payload["pass"] is True
     assert run_cli("emailgame", "impossibility", "--T", "0").returncode == 2
+
+
+def test_impossibility_truncation_cap(monkeypatch, capsys):
+    from galaxyck import cli
+    from galaxyck.reports import CheckReport
+
+    for T in ("1001", "1000000000"):
+        result = run_cli("emailgame", "impossibility", "--T", T)
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr.splitlines() == ["error: --T must be <= 1000"]
+    built = []
+
+    def fake_check(T):
+        built.append(T)
+        return CheckReport("impossibility", {"T": T})
+
+    monkeypatch.setattr(cli, "check_classical_impossibility", fake_check)
+    assert cli.main(["emailgame", "impossibility", "--T", "1001"]) == 2
+    assert built == []  # rejected before any model is built
+    assert cli.main(["emailgame", "impossibility", "--T", str(cli.MAX_T)]) == 0
+    assert built == [1000]
+    capsys.readouterr()
+
+
+def test_model_file_size_cap(monkeypatch, capsys, model_file):
+    from galaxyck import cli
+
+    size = os.path.getsize(model_file)
+    argv = ["model", "check", "--file", model_file, "--event", "E", "--state", "w1"]
+    monkeypatch.setattr(cli, "MAX_FILE_BYTES", size)
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(cli, "MAX_FILE_BYTES", size - 1)
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {model_file}: larger than {size - 1} bytes\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="needs an endless file")
+def test_endless_model_file_is_usage_error():
+    result = run_cli("model", "check", "--file", "/dev/zero", "--event", "E", "--state", "w1")
+    assert result.returncode == 2
+    assert result.stderr == "error: /dev/zero: larger than 16777216 bytes\n"
+
+
+@pytest.mark.parametrize(
+    "content,message",
+    [
+        (b"\xff\xfe{}", "invalid JSON: 'utf-8' codec can't decode"),
+        (b"[" * 100_000, "invalid JSON: maximum recursion depth exceeded"),
+        (b'{"states": [' + b"9" * 5000 + b"]}", "invalid JSON: Exceeds the limit"),
+    ],
+)
+def test_model_check_undecodable_json_is_usage_error(tmp_path, content, message):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    result = run_cli("model", "check", "--file", str(path), "--event", "E", "--state", "w1")
+    assert result.returncode == 2
+    assert result.stderr.startswith(f"error: {path}: {message}")
+    assert len(result.stderr.splitlines()) == 1
+
+
+def test_long_count_is_usage_error():
+    from galaxyck import cli
+
+    assert cli._hyper("9" * 1000) == finite(int("9" * 1000))
+    # Parsed, 4300 nines would step to a count too long to render.
+    result = run_cli("emailgame", "monotone", "--samples", "9" * 4300)
+    assert result.returncode == 2
+    assert result.stderr == "error: a count has at most 1000 characters, got 4300\n"
 
 
 def test_emailgame_ast_ck():

@@ -295,6 +295,75 @@ def test_meet_equals_components():
         assert meet_equals_galaxies(model).passed
 
 
+def _several_component_models(rng, count):
+    while count:
+        model = helpers.random_model(rng, max_states=7)
+        if len(model.components()) > 1:
+            count -= 1
+            yield model
+
+
+def test_component_index_verdicts_match_bfs_closures():
+    rng = random.Random(43)
+    for model in _several_component_models(rng, 25):
+        blocks, block_of = model.component_index()
+        assert blocks == meet(model)
+        for event in helpers.all_events(model.states):
+            predicate_only = Event.from_predicate(event.__contains__)
+            assert predicate_only.members is None
+            for omega in model.states:
+                closure = model.closure(omega)
+                assert block_of[omega] == closure
+                expected = closure <= event
+                for ev in (event, predicate_only):
+                    assert ck_classical(model, ev, omega) == expected
+                    assert ck_subjective(model, ev, omega) == expected
+
+
+def test_union_find_runs_once_per_model(monkeypatch):
+    from galaxyck import epistemic
+
+    built = []
+
+    class CountingUnionFind(epistemic._UnionFind):
+        def __init__(self, items):
+            built.append(1)
+            super().__init__(items)
+
+    monkeypatch.setattr(epistemic, "_UnionFind", CountingUnionFind)
+    rng = random.Random(47)
+    for n, model in enumerate(_several_component_models(rng, 5), start=1):
+        first = meet(model)
+        for event in helpers.all_events(model.states):
+            for omega in model.states:
+                ck_classical(model, event, omega)
+                ck_subjective(model, event, omega)
+                ck_subjective(model, Event.from_predicate(event.__contains__), omega)
+        assert meet(model) is first
+        assert meet_equals_galaxies(model).passed
+        assert len(built) == n
+
+
+def test_poisoned_index_leaves_bfs_oracles_alone():
+    rng = random.Random(53)
+    model = next(_several_component_models(rng, 1))
+    closures = {s: model.closure(s) for s in model.states}
+    components = model.components()
+    blocks, _ = model.component_index()
+    merged = frozenset(model.states)
+    model._index = ((merged,), {s: merged for s in model.states})  # one block: wrong
+
+    report = meet_equals_galaxies(model)
+    assert not report.passed
+    assert report.cases[0].actual["meet_only"] == [sorted(model.states)]
+    assert len(report.cases[0].actual["components_only"]) == len(blocks) > 1
+    assert model.components() == components
+    assert {s: model.closure(s) for s in model.states} == closures
+    # The verdicts read the index, so they follow the poison.
+    assert ck_classical(model, merged, model.states[0])
+    assert not ck_classical(model, closures[model.states[0]], model.states[0])
+
+
 def test_model_validation():
     with pytest.raises(ValueError):
         AumannModel(("x",), {"x": [["s0", "s1"], ["s1"]]})  # s1 twice
@@ -331,6 +400,9 @@ def test_model_from_dict_round_trip():
         (lambda d: d["agents"][0].pop("name"), "agents[0].name"),
         (lambda d: d["agents"][0]["partition"][0].remove("w2"), "agents[0].partition"),
         (lambda d: d["events"].update(E=["nope"]), "events.E"),
+        # Unhashable members are unknown states, not a TypeError.
+        (lambda d: d["agents"][1]["partition"][0].append(["w1"]), "agents[1].partition[0]"),
+        (lambda d: d["events"].update(F=[{"w1": 1}]), "events.F"),
     ],
 )
 def test_model_from_dict_diagnostics(mutate, field):
