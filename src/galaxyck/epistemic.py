@@ -15,9 +15,10 @@ and ``distances_from`` never read that index; they are its oracles.
 
 Infinite carriers can stand in for an ``AumannModel`` wherever closed forms
 exist: such a model must expose ``agents``, ``cell(agent, state)`` and
-``metric(x, y)`` and advertise ``states = None``.  Events used with the
-subjective test on an infinite carrier must list their complement explicitly
-(:attr:`Event.complement_witnesses`).
+``metric(x, y)`` and advertise ``states = None``.  Only there does the
+subjective test search a complement, so its events must list theirs
+explicitly (:attr:`Event.complement_witnesses`); on a finite carrier
+witnesses are validated and never searched.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from typing import Any, Callable, Hashable, Iterable, Mapping, Optional
 
 from .hypernat import HyperNat, finite
 from .reports import CheckReport
-from .sorites import GeneratingSequence, SoritesRelation
+from .sorites import SoritesRelation
 
 State = Hashable
 Agent = Hashable
@@ -343,9 +344,9 @@ def ck_classical(model: Any, event: Any, omega: State) -> bool:
     return _block_within(model, ev, omega)
 
 
-def reachability_relation(model: Any, gen: Optional[GeneratingSequence] = None) -> SoritesRelation:
+def reachability_relation(model: Any) -> SoritesRelation:
     """The sorites relation whose distance is the model's link metric."""
-    return SoritesRelation(dist=model.metric, gen=gen or GeneratingSequence.powers_of_two())
+    return SoritesRelation(dist=model.metric)
 
 
 def _check_witnesses(model: Any, ev: Event, witnesses: tuple) -> None:
@@ -358,42 +359,33 @@ def _check_witnesses(model: Any, ev: Event, witnesses: tuple) -> None:
             raise ValueError("complement witnesses must list exactly the event's complement")
 
 
-def ck_subjective(
-    model: Any,
-    event: Any,
-    omega: State,
-    rel: Optional[SoritesRelation] = None,
-) -> bool:
+def ck_subjective(model: Any, event: Any, omega: State) -> bool:
     """Subjective test: nothing outside the event is at finite link distance.
 
     Equivalently, the galaxy of ``omega`` is contained in the event.  On a
-    finite carrier with the default relation the galaxy is the block of the
-    meet holding ``omega``, read from the model's component index.
-    Otherwise the complement is searched, never the galaxy itself: on an
-    infinite carrier the event must list its complement witnesses, which
-    must lie outside the event and, on a finite carrier, be exactly its
-    complement.
+    finite carrier the galaxy is the block of the meet holding ``omega``,
+    read from the model's component index.  On an infinite carrier the
+    complement is searched, never the galaxy itself, so the event must list
+    its complement witnesses.  Witnesses, where given, must lie outside the
+    event and, on a finite carrier, be exactly its complement.
     """
     ev = _as_event(event)
     witnesses = ev.complement_witnesses
-    if witnesses is None:
-        if not _finite_carrier(model):
-            raise ValueError(
-                "subjective common knowledge on an infinite carrier needs complement witnesses"
-            )
-        if rel is None:
-            return _block_within(model, ev, omega)
-        witnesses = tuple(s for s in model.states if not ev.contains(s))
-    else:
+    if witnesses is not None:
         _check_witnesses(model, ev, witnesses)
-    if rel is None:
-        rel = reachability_relation(model)
+    if _finite_carrier(model):
+        return _block_within(model, ev, omega)
+    if witnesses is None:
+        raise ValueError(
+            "subjective common knowledge on an infinite carrier needs complement witnesses"
+        )
+    rel = reachability_relation(model)
     return not any(rel.related(x, omega) for x in witnesses)
 
 
-def ck_region(model: Any, event: Any, rel: Optional[SoritesRelation] = None) -> Event:
+def ck_region(model: Any, event: Any) -> Event:
     """The event of states at which ``event`` is subjectively common knowledge."""
-    return Event.from_predicate(lambda omega: ck_subjective(model, event, omega, rel))
+    return Event.from_predicate(lambda omega: ck_subjective(model, event, omega))
 
 
 def meet(model: Any) -> tuple:

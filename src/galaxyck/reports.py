@@ -71,8 +71,8 @@ class CheckReport:
             "pass": self.passed,
         }
 
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2)
 
     def to_text(self) -> str:
         lines = [f"check: {self.check}"]

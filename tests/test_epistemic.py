@@ -188,15 +188,16 @@ def test_ck_classical_matches_meet_cell():
 
 
 def test_ck_subjective_equals_classical_on_finite_models():
-    # An explicit relation takes the metric route over the enumerated
-    # complement, so the two sides share no kernel.
+    # Both verdicts read the component index; the breadth-first closure
+    # does not, so it is the side that shares no kernel with them.
     rng = random.Random(29)
     for _ in range(20):
         model = helpers.random_model(rng)
-        rel = reachability_relation(model)
         for event in helpers.all_events(model.states):
             for omega in model.states:
-                assert ck_subjective(model, event, omega, rel) == ck_classical(model, event, omega)
+                expected = model.closure(omega) <= event
+                assert ck_subjective(model, event, omega) == expected
+                assert ck_classical(model, event, omega) == expected
 
 
 def test_ck_flood_matches_witness_loop_and_closure():
@@ -216,11 +217,37 @@ def test_ck_flood_matches_witness_loop_and_closure():
 def test_ck_unknown_state_raises():
     model = mail_chain_model()
     carrier = frozenset(model.states)
-    for event in (carrier, frozenset({A})):
+    witnessed = Event(carrier.__contains__, complement_witnesses=())
+    for event in (carrier, frozenset({A}), witnessed):
         with pytest.raises(ValueError, match="unknown agent/state pair"):
             ck_subjective(model, event, "nope")
         with pytest.raises(ValueError, match="unknown agent/state pair"):
             ck_classical(model, event, "nope")
+
+
+def test_finite_subjective_ck_never_searches(monkeypatch):
+    # On a finite carrier every subjective verdict comes from the component
+    # index; no event, witnessed or not, may start a breadth-first search.
+    rng = random.Random(59)
+    cases = [
+        (model, {s: model.closure(s) for s in model.states})
+        for model in _several_component_models(rng, 5)
+    ]
+
+    def no_search(self, origin):
+        raise AssertionError("finite-carrier CK ran a breadth-first search")
+
+    monkeypatch.setattr(AumannModel, "distances_from", no_search)
+    for model, closures in cases:
+        for event in helpers.all_events(model.states):
+            complement = tuple(s for s in model.states if s not in event)
+            for ev in (
+                event,
+                Event.from_predicate(event.__contains__),
+                Event(event.__contains__, complement_witnesses=complement),
+            ):
+                for omega in model.states:
+                    assert ck_subjective(model, ev, omega) == (closures[omega] <= event)
 
 
 def test_ck_subjective_with_complement_witnesses():
