@@ -6,96 +6,18 @@ models with link operators and a reachability metric, and the electronic-
 mail game with its closed-form cells, probabilities and cutoff equilibrium.
 """
 
-from .emailgame import (
-    ACTIONS,
-    STATE_A,
-    CutoffStrategy,
-    EmailGameModel,
-    EmailGameState,
-    PayoffParams,
-    best_response_check,
-    cell,
-    cell_by_own_count,
-    chain_position,
-    check_ast_possibility,
-    check_classical_impossibility,
-    check_monotone_ck,
-    email_metric,
-    event_b,
-    payoff_pair,
-    state_b,
-    state_probability,
-    truncated_model,
-)
-from .epistemic import (
-    AumannModel,
-    Event,
-    ModelFormatError,
-    ck_classical,
-    ck_region,
-    ck_subjective,
-    is_reachable,
-    knows,
-    knows_group,
-    link_agent,
-    link_group,
-    link_iter,
-    meet,
-    meet_equals_galaxies,
-    model_from_dict,
-    reachability_relation,
-)
-from .hypernat import HyperNat, finite, gap, huge, parse_hypernat
-from .reports import CaseResult, CheckReport, jsonable
-from .sorites import GeneratingSequence, SoritesRelation, chain_relation
+from .emailgame import *
+from .epistemic import *
+from .hypernat import *
+from .reports import *
+from .sorites import *
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ACTIONS",
-    "AumannModel",
-    "CaseResult",
-    "CheckReport",
-    "CutoffStrategy",
-    "EmailGameModel",
-    "EmailGameState",
-    "Event",
-    "GeneratingSequence",
-    "HyperNat",
-    "ModelFormatError",
-    "PayoffParams",
-    "STATE_A",
-    "SoritesRelation",
-    "best_response_check",
-    "cell",
-    "cell_by_own_count",
-    "chain_position",
-    "chain_relation",
-    "check_ast_possibility",
-    "check_classical_impossibility",
-    "check_monotone_ck",
-    "ck_classical",
-    "ck_region",
-    "ck_subjective",
-    "email_metric",
-    "event_b",
-    "finite",
-    "gap",
-    "huge",
-    "is_reachable",
-    "jsonable",
-    "knows",
-    "knows_group",
-    "link_agent",
-    "link_group",
-    "link_iter",
-    "meet",
-    "meet_equals_galaxies",
-    "model_from_dict",
-    "parse_hypernat",
-    "payoff_pair",
-    "reachability_relation",
-    "state_b",
-    "state_probability",
-    "truncated_model",
+    *hypernat.__all__,
+    *sorites.__all__,
+    *epistemic.__all__,
+    *emailgame.__all__,
+    *reports.__all__,
 ]

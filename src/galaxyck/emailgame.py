@@ -301,28 +301,27 @@ class PayoffParams:
         return {"M": self.M, "L": self.L, "p": self.p, "eps": self.eps}
 
 
+def _payoff(tag: str, own: Action, other: Action, params: PayoffParams) -> Fraction:
+    """One agent's payoff in game ``tag``, given its own and the other's action.
+
+    The games are symmetric in the agents: B against A costs L in either
+    game, coordinating on the game's own action (A in a, B in b) pays M,
+    and everything else pays 0.
+    """
+    if own == "B" and other == "A":
+        return -params.L
+    if own == other == tag.upper():
+        return params.M
+    return Fraction(0)
+
+
 def payoff_pair(tag: str, action1: Action, action2: Action, params: PayoffParams) -> tuple:
     """Payoffs (agent 1, agent 2) of an action pair in game a or game b."""
     if action1 not in ACTIONS or action2 not in ACTIONS:
         raise ValueError("actions are 'A' and 'B'")
-    M, L, zero = params.M, params.L, Fraction(0)
-    if tag == "a":
-        table = {
-            ("A", "A"): (M, M),
-            ("A", "B"): (zero, -L),
-            ("B", "A"): (-L, zero),
-            ("B", "B"): (zero, zero),
-        }
-    elif tag == "b":
-        table = {
-            ("A", "A"): (zero, zero),
-            ("A", "B"): (zero, -L),
-            ("B", "A"): (-L, zero),
-            ("B", "B"): (M, M),
-        }
-    else:
+    if tag not in ("a", "b"):
         raise ValueError("tag must be 'a' or 'b'")
-    return table[action1, action2]
+    return _payoff(tag, action1, action2, params), _payoff(tag, action2, action1, params)
 
 
 def state_probability(s: EmailGameState, params: PayoffParams) -> Fraction:
@@ -406,21 +405,18 @@ def best_response_check(
         ),
     )
 
-    for agent in (1, 2):
-        opp = 3 - agent
+    for agent, own, other in ((1, strat[0], strat[1]), (2, strat[1], strat[0])):
         for count in finite_counts + huge_counts:
             cellstates = sorted(cell_by_own_count(agent, count), key=str)
-            prescribed = strat[agent - 1].action(count)
+            prescribed = own.action(count)
             deviation = "B" if prescribed == "A" else "A"
             rows = []
             for s in cellstates:
-                opp_action = strat[opp - 1].action(s.t if opp == 1 else s.t_prime)
-                pres_pair = (prescribed, opp_action) if agent == 1 else (opp_action, prescribed)
-                dev_pair = (deviation, opp_action) if agent == 1 else (opp_action, deviation)
+                other_action = other.action(s.t_prime if agent == 1 else s.t)
                 rows.append(
                     (
-                        payoff_pair(s.tag, *pres_pair, params)[agent - 1],
-                        payoff_pair(s.tag, *dev_pair, params)[agent - 1],
+                        _payoff(s.tag, prescribed, other_action, params),
+                        _payoff(s.tag, deviation, other_action, params),
                     )
                 )
             if count.is_finite:

@@ -276,11 +276,7 @@ def link_agent(model: Any, agent: Agent, event: Any) -> frozenset:
 def link_group(model: Any, event: Any) -> frozenset:
     """Union of every agent's link; always contains the event itself."""
     members = _members(model, _as_event(event))
-    out: set = set()
-    for agent in model.agents:
-        for s in members:
-            out |= model.cell(agent, s)
-    return frozenset(out)
+    return frozenset().union(*(link_agent(model, agent, members) for agent in model.agents))
 
 
 def link_iter(model: Any, event: Any, n: Any) -> frozenset:
@@ -349,7 +345,16 @@ def reachability_relation(model: Any) -> SoritesRelation:
     return SoritesRelation(dist=model.metric)
 
 
-def _check_witnesses(model: Any, ev: Event, witnesses: tuple) -> None:
+def _check_witnesses(model: Any, ev: Event) -> None:
+    """Witnesses, where given, must lie outside the event and, on a finite
+    carrier, be exactly its complement.  An infinite carrier needs them."""
+    witnesses = ev.complement_witnesses
+    if witnesses is None:
+        if not _finite_carrier(model):
+            raise ValueError(
+                "subjective common knowledge on an infinite carrier needs complement witnesses"
+            )
+        return
     for x in witnesses:
         if ev.contains(x):
             raise ValueError(f"complement witness {x!r} lies inside the event")
@@ -369,23 +374,23 @@ def ck_subjective(model: Any, event: Any, omega: State) -> bool:
     its complement witnesses.  Witnesses, where given, must lie outside the
     event and, on a finite carrier, be exactly its complement.
     """
-    ev = _as_event(event)
-    witnesses = ev.complement_witnesses
-    if witnesses is not None:
-        _check_witnesses(model, ev, witnesses)
-    if _finite_carrier(model):
-        return _block_within(model, ev, omega)
-    if witnesses is None:
-        raise ValueError(
-            "subjective common knowledge on an infinite carrier needs complement witnesses"
-        )
-    rel = reachability_relation(model)
-    return not any(rel.related(x, omega) for x in witnesses)
+    return ck_region(model, event).contains(omega)
 
 
 def ck_region(model: Any, event: Any) -> Event:
-    """The event of states at which ``event`` is subjectively common knowledge."""
-    return Event.from_predicate(lambda omega: ck_subjective(model, event, omega))
+    """The event of states at which ``event`` is subjectively common knowledge.
+
+    The event's witnesses are checked once, here, so a membership query
+    costs only the test of :func:`ck_subjective`.
+    """
+    ev = _as_event(event)
+    _check_witnesses(model, ev)
+    if _finite_carrier(model):
+        return Event.from_predicate(lambda omega: _block_within(model, ev, omega))
+    rel = reachability_relation(model)
+    return Event.from_predicate(
+        lambda omega: not any(rel.related(x, omega) for x in ev.complement_witnesses)
+    )
 
 
 def meet(model: Any) -> tuple:

@@ -7,6 +7,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any
 
+__all__ = ["CaseResult", "CheckReport", "jsonable"]
+
 
 def jsonable(value: Any) -> Any:
     """Render a payload as JSON-native data with a stable ordering.

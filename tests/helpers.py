@@ -1,6 +1,22 @@
-"""Random model generators and event enumeration shared by the test suite."""
+"""Random model generators, event enumeration and the child-process
+environment shared by the test suite."""
 
-from galaxyck.epistemic import AumannModel
+import os
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def subprocess_env(**extra):
+    """The environment for a child Python that imports galaxyck from ``src/``.
+
+    ``src/`` goes in front of any ``PYTHONPATH`` already set, so the child
+    runs the checkout's code whether or not galaxyck is installed; the
+    ``pythonpath`` setting of pytest reaches only the pytest process.
+    """
+    env = dict(os.environ, **extra)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return env
 
 
 def random_partition(rng, states):
@@ -17,6 +33,10 @@ def random_partition(rng, states):
 
 
 def random_model(rng, max_states=6, agent_counts=(2, 3)):
+    # Imported here so that a script importing only subprocess_env, such as
+    # ``python tests/test_golden.py``, runs without galaxyck on sys.path.
+    from galaxyck.epistemic import AumannModel
+
     n = rng.randint(2, max_states)
     states = [f"s{i}" for i in range(n)]
     agents = [f"g{j}" for j in range(rng.choice(agent_counts))]

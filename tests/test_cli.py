@@ -6,6 +6,7 @@ import sys
 import pytest
 
 from galaxyck.hypernat import finite
+from helpers import subprocess_env
 
 MODEL_DOC = {
     "states": ["w1", "w2", "w3", "w4"],
@@ -18,14 +19,11 @@ MODEL_DOC = {
 
 
 def run_cli(*args, env_extra=None):
-    env = os.environ.copy()
-    if env_extra:
-        env.update(env_extra)
     return subprocess.run(
         [sys.executable, "-m", "galaxyck", *args],
         capture_output=True,
         text=True,
-        env=env,
+        env=subprocess_env(**(env_extra or {})),
     )
 
 

@@ -1,10 +1,8 @@
 import copy
-import os
 import pickle
 import subprocess
 import sys
 from fractions import Fraction
-from pathlib import Path
 
 import hypothesis.strategies as st
 import pytest
@@ -30,8 +28,9 @@ from galaxyck.emailgame import (
     state_probability,
     truncated_model,
 )
-from galaxyck.epistemic import AumannModel, Event, ck_classical, ck_subjective
+from galaxyck.epistemic import AumannModel, Event, ck_classical, ck_region, ck_subjective
 from galaxyck.hypernat import finite, huge
+from helpers import subprocess_env
 
 PARAMS = PayoffParams(2, 3, Fraction(1, 2), Fraction(1, 10))
 
@@ -174,8 +173,7 @@ def test_state_copy_and_pickle_round_trip(s):
 
 def test_pickled_state_rehashes_in_another_process():
     # The cached hash covers the tag string, whose hash differs per process.
-    src = Path(__file__).resolve().parent.parent / "src"
-    env = dict(os.environ, PYTHONHASHSEED="1", PYTHONPATH=str(src))
+    env = subprocess_env(PYTHONHASHSEED="1")
     script = (
         "import pickle, sys\n"
         "from galaxyck.emailgame import state_b\n"
@@ -204,8 +202,10 @@ def test_infinite_carrier_refuses_enumeration():
     with pytest.raises(ValueError):
         ck_classical(game, event_b(), STATE_A)
     bare_event = Event.from_predicate(lambda s: s.tag == "b")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="needs complement witnesses"):
         ck_subjective(game, bare_event, state_b(3))
+    with pytest.raises(ValueError, match="needs complement witnesses"):
+        ck_region(game, bare_event)  # raised when the region is built
 
 
 def test_infinite_carrier_rejects_witness_inside_event():
@@ -253,13 +253,28 @@ def test_monotone_report():
 
 def test_payoff_tables():
     M, L, zero = PARAMS.M, PARAMS.L, Fraction(0)
-    assert payoff_pair("a", "A", "A", PARAMS) == (M, M)
-    assert payoff_pair("a", "B", "A", PARAMS) == (-L, zero)
-    assert payoff_pair("b", "A", "A", PARAMS) == (zero, zero)
-    assert payoff_pair("b", "B", "B", PARAMS) == (M, M)
-    assert payoff_pair("b", "A", "B", PARAMS) == (zero, -L)
-    with pytest.raises(ValueError):
+    tables = {
+        "a": {
+            ("A", "A"): (M, M),
+            ("A", "B"): (zero, -L),
+            ("B", "A"): (-L, zero),
+            ("B", "B"): (zero, zero),
+        },
+        "b": {
+            ("A", "A"): (zero, zero),
+            ("A", "B"): (zero, -L),
+            ("B", "A"): (-L, zero),
+            ("B", "B"): (M, M),
+        },
+    }
+    for tag, table in tables.items():
+        for (x, y), pair in table.items():
+            assert payoff_pair(tag, x, y, PARAMS) == pair
+            assert payoff_pair(tag, x, y, PARAMS)[1] == payoff_pair(tag, y, x, PARAMS)[0]
+    with pytest.raises(ValueError, match="actions are"):
         payoff_pair("b", "A", "X", PARAMS)
+    with pytest.raises(ValueError, match="tag must be"):
+        payoff_pair("c", "A", "A", PARAMS)
 
 
 def test_payoff_params_validation():

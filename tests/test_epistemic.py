@@ -270,6 +270,30 @@ def test_ck_subjective_rejects_bad_complement_witnesses():
     stray = Event.from_predicate(lambda s: s[0] == "b", complement_witnesses=(A, ("c", 0, 0)))
     with pytest.raises(ValueError, match="exactly the event's complement"):
         ck_subjective(model, stray, ("b", 3, 3))
+    # A region checks its event when it is built, before any query.
+    for bad, message in ((inside, "inside the event"), (short, "exactly"), (stray, "exactly")):
+        with pytest.raises(ValueError, match=message):
+            ck_region(model, bad)
+
+
+def test_ck_region_checks_witnesses_once_per_region(monkeypatch):
+    from galaxyck import epistemic
+
+    checked = []
+    check = epistemic._check_witnesses
+
+    def counting_check(*args):
+        checked.append(args)
+        check(*args)
+
+    monkeypatch.setattr(epistemic, "_check_witnesses", counting_check)
+    for n, T in enumerate((3, 10, 40), start=1):
+        model = mail_chain_model(T)
+        b_event = Event.from_predicate(lambda s: s[0] == "b", complement_witnesses=(A,))
+        region = ck_region(model, b_event)
+        for _ in range(3):
+            assert not any(region.contains(omega) for omega in model.states)
+        assert len(checked) == n
 
 
 def test_ck_region_membership():

@@ -10,23 +10,24 @@ Re-record after an intended report change with ``python tests/test_golden.py``.
 """
 
 import json
-import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from helpers import subprocess_env
+
 GOLDEN = Path(__file__).resolve().parent / "golden"
-SRC = GOLDEN.parent.parent / "src"
 CASES = json.loads((GOLDEN / "cases.json").read_text(encoding="utf-8"))
 
 
 def run_case(argv):
-    env = os.environ.copy()
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-m", "galaxyck", *argv], capture_output=True, cwd=GOLDEN, env=env
+        [sys.executable, "-m", "galaxyck", *argv],
+        capture_output=True,
+        cwd=GOLDEN,
+        env=subprocess_env(),
     )
 
 
