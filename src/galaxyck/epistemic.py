@@ -4,7 +4,10 @@ An :class:`AumannModel` is an explicit finite carrier with one partition per
 agent.  The link of an event through an agent's partition collects every
 state sharing a cell with the event; iterating the group link induces a
 breadth-first metric whose connected components are the carrier's
-reachability classes.  On top of that sit the knowledge operators and two
+reachability classes.  Both walks are linear in the states they reach:
+``link_iter`` takes the n-fold link as one multi-source frontier walk that
+reads each reached state's cells once, and ``distances_from`` reads the
+model's cell table directly.  On top of that sit the knowledge operators and two
 common-knowledge tests: the classical one (the closure of the true state
 lies inside the event) and the subjective one (nothing outside the event is
 at finite link distance from the true state).  On a finite carrier both
@@ -121,20 +124,15 @@ class AumannModel:
         except KeyError:
             raise ValueError(f"unknown agent/state pair ({agent!r}, {state!r})") from None
 
-    def neighbors(self, state: State) -> frozenset:
-        """States sharing a cell with ``state`` for at least one agent."""
-        out: set = set()
-        for agent in self._agents:
-            out |= self.cell(agent, state)
-        return frozenset(out)
-
     def distances_from(self, origin: State) -> dict:
         """Breadth-first link distances from ``origin`` as plain ints.
 
         Unreachable states are simply absent.  Each state is assigned on its
-        first visit, so layer indices are unique by construction.
+        first visit, so layer indices are unique by construction.  The walk
+        reads the cell table directly and builds no per-state set.
         """
         self.cell(self._agents[0], origin)  # validates the state
+        agents, cells = self._agents, self._cells
         dist = {origin: 0}
         frontier = [origin]
         layer = 0
@@ -142,10 +140,11 @@ class AumannModel:
             layer += 1
             next_frontier = []
             for s in frontier:
-                for t in self.neighbors(s):
-                    if t not in dist:
-                        dist[t] = layer
-                        next_frontier.append(t)
+                for agent in agents:
+                    for t in cells[agent, s]:
+                        if t not in dist:
+                            dist[t] = layer
+                            next_frontier.append(t)
             frontier = next_frontier
         return dist
 
@@ -280,17 +279,35 @@ def link_group(model: Any, event: Any) -> frozenset:
 
 
 def link_iter(model: Any, event: Any, n: Any) -> frozenset:
-    """The ``n``-fold group link; ``n`` must be finite."""
+    """The ``n``-fold group link; ``n`` must be finite.
+
+    One multi-source breadth-first walk: each step reads the cells of only
+    the states the previous step reached first, and the walk stops early
+    once nothing new is reached.  So it makes at most one cell read per
+    agent and reached state, whatever ``n`` is; :func:`link_group` applied
+    ``n`` times is its reference.
+    """
     if isinstance(n, HyperNat):
         if n.is_huge:
             raise ValueError("cannot iterate a huge number of link steps; use a closed form")
         n = int(n)
     if n < 0:
         raise ValueError("link iterations are nonnegative")
-    current = frozenset(_members(model, _as_event(event)))
+    reached = set(_members(model, _as_event(event)))
+    frontier = list(reached)
+    agents = model.agents
     for _ in range(n):
-        current = link_group(model, current)
-    return current
+        if not frontier:
+            break
+        next_frontier = []
+        for s in frontier:
+            for agent in agents:
+                for t in model.cell(agent, s):
+                    if t not in reached:
+                        reached.add(t)
+                        next_frontier.append(t)
+        frontier = next_frontier
+    return frozenset(reached)
 
 
 def is_reachable(model: Any, x: State, y: State) -> bool:
@@ -317,16 +334,20 @@ def knows_group(model: Any, event: Any) -> frozenset:
     return frozenset(result or frozenset())
 
 
-def _block_within(model: AumannModel, ev: Event, omega: State) -> bool:
-    """Does the block of the meet holding ``omega`` lie in the event?
-
-    On a finite carrier every reachable state is at finite link distance,
-    so this is both CK tests at once.  The block comes from the model's
-    cached component index, so a query costs one subset test.
-    """
+def _block_of(model: AumannModel, omega: State) -> frozenset:
+    """The block of the meet holding ``omega``, from the cached component index."""
     block = model.component_index()[1].get(omega)
     if block is None:
         model.cell(model.agents[0], omega)  # raises: omega is not a state of the model
+    return block
+
+
+def _within(ev: Event, block: frozenset) -> bool:
+    """Does the block lie in the event?
+
+    For the block of the meet holding a state of a finite carrier this is
+    both CK tests at once: every reachable state is at finite link distance.
+    """
     if ev.members is not None:
         return block <= ev.members
     return all(ev.contains(t) for t in block)
@@ -337,7 +358,7 @@ def ck_classical(model: Any, event: Any, omega: State) -> bool:
     ev = _as_event(event)
     if not _finite_carrier(model):
         raise ValueError("classical common knowledge needs an enumerable reachability closure")
-    return _block_within(model, ev, omega)
+    return _within(ev, _block_of(model, omega))
 
 
 def reachability_relation(model: Any) -> SoritesRelation:
@@ -380,13 +401,24 @@ def ck_subjective(model: Any, event: Any, omega: State) -> bool:
 def ck_region(model: Any, event: Any) -> Event:
     """The event of states at which ``event`` is subjectively common knowledge.
 
-    The event's witnesses are checked once, here, so a membership query
-    costs only the test of :func:`ck_subjective`.
+    The event's witnesses are checked once, here.  On a finite carrier each
+    block of the meet is decided on its first query and remembered, so a
+    sweep over the carrier tests every state against the event at most
+    once.
     """
     ev = _as_event(event)
     _check_witnesses(model, ev)
     if _finite_carrier(model):
-        return Event.from_predicate(lambda omega: _block_within(model, ev, omega))
+        verdicts: dict = {}
+
+        def decide(omega: State) -> bool:
+            block = _block_of(model, omega)
+            verdict = verdicts.get(block)
+            if verdict is None:
+                verdict = verdicts[block] = _within(ev, block)
+            return verdict
+
+        return Event.from_predicate(decide)
     rel = reachability_relation(model)
     return Event.from_predicate(
         lambda omega: not any(rel.related(x, omega) for x in ev.complement_witnesses)

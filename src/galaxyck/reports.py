@@ -9,6 +9,10 @@ from typing import Any
 
 __all__ = ["CaseResult", "CheckReport", "jsonable"]
 
+# The sort key of set members: their canonical JSON text.  One encoder for
+# every member; ``json.dumps(..., sort_keys=True)`` builds a new one per call.
+_set_member_key = json.JSONEncoder(sort_keys=True).encode
+
 
 def jsonable(value: Any) -> Any:
     """Render a payload as JSON-native data with a stable ordering.
@@ -24,7 +28,7 @@ def jsonable(value: Any) -> Any:
         return {str(k): jsonable(v) for k, v in value.items()}
     if isinstance(value, (set, frozenset)):
         rendered = [jsonable(v) for v in value]
-        return sorted(rendered, key=lambda item: json.dumps(item, sort_keys=True))
+        return sorted(rendered, key=_set_member_key)
     if isinstance(value, (list, tuple)):
         return [jsonable(v) for v in value]
     return str(value)

@@ -242,6 +242,43 @@ def test_link_operators_work_on_the_symbolic_carrier():
     assert around == {state_b(w, 1), state_b(w, 0), state_b(w + 1, 1)}
 
 
+def test_link_iter_matches_repeated_link_group_on_the_symbolic_carrier():
+    from galaxyck.epistemic import link_group, link_iter
+
+    game = EmailGameModel()
+    w = huge(1, 0)
+    events = (
+        {STATE_A},
+        {state_b(3, 1)},
+        {state_b(2, 0), state_b(5, 1)},
+        {STATE_A, state_b(w, 0)},
+        {state_b(w + 2, 1), state_b(huge(2, -1), 0)},
+    )
+    for event in events:
+        linked = frozenset(event)
+        for n in range(7):
+            assert link_iter(game, event, n) == linked
+            linked = link_group(game, linked)
+
+
+def test_link_iter_reads_each_cell_once(monkeypatch):
+    # The frontier walk reads the cells of each reached state once per
+    # agent and stops once the carrier is saturated, whatever n is.
+    from galaxyck.epistemic import link_iter
+
+    model = truncated_model(5)
+    reads = []
+    cell_of = AumannModel.cell
+
+    def counting_cell(self, agent, state):
+        reads.append((agent, state))
+        return cell_of(self, agent, state)
+
+    monkeypatch.setattr(AumannModel, "cell", counting_cell)
+    assert link_iter(model, {STATE_A}, 10**4) == frozenset(model.states)
+    assert len(reads) <= 2 * len(model.states)
+
+
 def test_monotone_report():
     report = check_monotone_ck([finite(0), finite(4), huge(1, 0)])
     assert report.passed

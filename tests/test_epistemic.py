@@ -85,6 +85,24 @@ def test_link_iter_accepts_finite_hypernat_and_rejects_huge():
         link_iter(model, {A}, -1)
 
 
+def test_link_iter_matches_repeated_link_group_and_bfs_distances():
+    # Two references that share no code with the frontier walk: n rounds of
+    # link_group, and the states within n of the event by BFS distance.
+    rng = random.Random(61)
+    for model in _several_component_models(rng, 20):
+        table = {s: model.distances_from(s) for s in model.states}
+        steps = range(len(model.states) + 2)  # past the diameter
+        for event in helpers.all_events(model.states):
+            for ev in (event, Event.from_predicate(event.__contains__)):
+                linked = event
+                for n in steps:
+                    within = frozenset(
+                        t for t in model.states if any(table[e].get(t, n + 1) <= n for e in event)
+                    )
+                    assert link_iter(model, ev, n) == linked == within
+                    linked = link_group(model, linked)
+
+
 def test_metric_basics():
     model = mail_chain_model()
     assert model.metric(A, A) == finite(0)
@@ -305,6 +323,28 @@ def test_ck_region_membership():
             for omega in model.states:
                 galaxy = model.closure(omega)  # finite model: galaxy = component
                 assert region.contains(omega) == (galaxy <= event)
+
+
+def test_ck_region_sweep_tests_each_state_at_most_once():
+    # Every state of a block shares its verdict, so a sweep over the carrier
+    # decides each block once instead of once per query.
+    rng = random.Random(67)
+    models = [mail_chain_model(T) for T in (1, 5, 30)] + list(_several_component_models(rng, 10))
+    for model in models:
+        for event in (frozenset(model.states), frozenset(model.states[1:])):
+            calls = []
+
+            def contains(state, event=event):
+                calls.append(state)
+                return state in event
+
+            region = ck_region(model, Event.from_predicate(contains))
+            for _ in range(2):
+                for omega in model.states:
+                    assert region.contains(omega) == (model.closure(omega) <= event)
+            assert len(calls) <= len(model.states)
+            with pytest.raises(ValueError, match="unknown agent/state pair"):
+                region.contains("nope")
 
 
 def test_ck_region_trivial_events():
