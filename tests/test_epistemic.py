@@ -325,28 +325,6 @@ def test_ck_region_membership():
                 assert region.contains(omega) == (galaxy <= event)
 
 
-def test_ck_region_sweep_tests_each_state_at_most_once():
-    # Every state of a block shares its verdict, so a sweep over the carrier
-    # decides each block once instead of once per query.
-    rng = random.Random(67)
-    models = [mail_chain_model(T) for T in (1, 5, 30)] + list(_several_component_models(rng, 10))
-    for model in models:
-        for event in (frozenset(model.states), frozenset(model.states[1:])):
-            calls = []
-
-            def contains(state, event=event):
-                calls.append(state)
-                return state in event
-
-            region = ck_region(model, Event.from_predicate(contains))
-            for _ in range(2):
-                for omega in model.states:
-                    assert region.contains(omega) == (model.closure(omega) <= event)
-            assert len(calls) <= len(model.states)
-            with pytest.raises(ValueError, match="unknown agent/state pair"):
-                region.contains("nope")
-
-
 def test_ck_region_trivial_events():
     model = mail_chain_model()
     carrier = frozenset(model.states)
