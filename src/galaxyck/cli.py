@@ -31,6 +31,7 @@ MAX_RANGE = 10_000  # counts in one "lo..hi" sample range
 MAX_COUNT_CHARS = 1000  # characters in one count, so that count+1 still renders
 MAX_T = 1000  # largest e-mail-game truncation, a model of 2*MAX_T+1 states
 MAX_FILE_BYTES = 16 * 1024 * 1024  # largest model document read
+MAX_PAYOFF_CHARS = 1000  # in one payoff parameter, so that every expected payoff renders
 
 
 class UsageError(Exception):
@@ -156,19 +157,33 @@ def cmd_email_monotone(args) -> tuple:
     return check_monotone_ck(_hyper_list(args.samples)), None
 
 
+def _check_payoff_length(name: str, text: str) -> None:
+    """Bound a payoff parameter before Fraction reads it: neither its numerator
+    nor its denominator has more digits than the text plus its exponent."""
+    try:
+        size = len(text) + abs(int(text.lower().partition("e")[2] or 0))
+    except ValueError:  # no number, which Fraction rejects, or too long for int()
+        size = len(text)
+    if size > MAX_PAYOFF_CHARS:
+        raise UsageError(f"--{name} exceeds {MAX_PAYOFF_CHARS} characters, counting eN as N more")
+
+
 def cmd_email_equilibrium(args) -> tuple:
+    for name in ("M", "L", "p", "eps"):
+        _check_payoff_length(name, getattr(args, name))
     try:
         params = PayoffParams(args.M, args.L, args.p, args.eps)
     except (ValueError, ZeroDivisionError, TypeError) as exc:
         raise UsageError(f"bad payoff parameters: {exc}") from None
     finite_samples = _int_samples(args.finite_samples)
     huge_samples = _hyper_list(args.huge_samples)
+    if any(k < 0 for k in finite_samples):
+        raise UsageError("finite naturals are nonnegative")
+    for count in huge_samples:
+        if count.is_finite:
+            raise UsageError(f"{count} is not a huge sample")
     cutoff = CutoffStrategy.play_a_while_finite()
-    try:
-        report = best_response_check((cutoff, cutoff), params, finite_samples, huge_samples)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
-    return report, None
+    return best_response_check((cutoff, cutoff), params, finite_samples + huge_samples), None
 
 
 def cmd_sorites_demo(args) -> tuple:

@@ -20,7 +20,7 @@ rational arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Tuple, Union
 
@@ -165,11 +165,8 @@ class EmailGameModel:
     agents = (1, 2)
     states = None  # infinite; closed forms stand in for enumeration
 
-    def cell(self, agent: int, s: EmailGameState) -> frozenset:
-        return cell(agent, s)
-
-    def metric(self, x: EmailGameState, y: EmailGameState) -> HyperNat:
-        return email_metric(x, y)
+    cell = staticmethod(cell)
+    metric = staticmethod(email_metric)
 
     def closure(self, s: EmailGameState):
         raise ValueError("the full carrier is infinite; use truncated_model")
@@ -264,13 +261,9 @@ def check_monotone_ck(samples: Iterable[Union[int, HyperNat]]) -> CheckReport:
 
 
 def _as_fraction(value: Union[Fraction, int, str]) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int) and not isinstance(value, bool):
-        return Fraction(value)
-    if isinstance(value, str):
-        return Fraction(value)
-    raise TypeError("payoff parameters are Fractions, ints or strings")
+    if isinstance(value, bool) or not isinstance(value, (Fraction, int, str)):
+        raise TypeError("payoff parameters are Fractions, ints or strings")
+    return Fraction(value)
 
 
 @dataclass(frozen=True)
@@ -296,9 +289,6 @@ class PayoffParams:
             raise ValueError("p must lie strictly between 0 and 1")
         if not 0 < self.eps < 1:
             raise ValueError("eps must lie strictly between 0 and 1")
-
-    def as_dict(self) -> dict:
-        return {"M": self.M, "L": self.L, "p": self.p, "eps": self.eps}
 
 
 def _payoff(tag: str, own: Action, other: Action, params: PayoffParams) -> Fraction:
@@ -367,46 +357,33 @@ def cell_by_own_count(agent: int, count: Union[int, HyperNat]) -> frozenset:
 def best_response_check(
     strategies: Tuple[CutoffStrategy, CutoffStrategy],
     params: PayoffParams,
-    finite_samples: Iterable[int],
-    huge_samples: Iterable[HyperNat],
+    own_counts: Iterable[Union[int, HyperNat]],
 ) -> CheckReport:
-    """Cell-by-cell best-response audit of a strategy pair.
+    """Cell-by-cell best-response audit of a strategy pair at each own count.
 
-    Each cell state gives one row of (prescribed, deviation) payoffs.
-    Finite cells compare the rows' conditional expectations, renormalized
-    on the cell (exact rationals throughout: the comparisons are strict
-    inequalities).  Huge cells carry no probabilities, so the rows are
-    compared pointwise; if the preference ever differed across one huge
-    cell the verdict would depend on unassigned probabilities, which the
-    report flags as insufficient information.
+    Each cell state gives one row of (prescribed, deviation) payoffs, and the
+    count's tier picks the basis.  Finite cells compare the rows' conditional
+    expectations, renormalized on the cell (exact rationals throughout: the
+    comparisons are strict inequalities).  Huge cells carry no probabilities,
+    so the rows are compared pointwise; if the preference ever differed
+    across one huge cell the verdict would depend on unassigned
+    probabilities, which the report flags as insufficient information.
     """
     strat = tuple(strategies)
     if len(strat) != 2:
         raise ValueError("need exactly one strategy per agent")
-    finite_counts = []
-    for raw in finite_samples:
-        c = _as_count(raw)
-        if c.is_huge:
-            raise ValueError(f"{c} is not a finite sample")
-        finite_counts.append(c)
-    huge_counts = []
-    for raw in huge_samples:
-        c = _as_count(raw)
-        if not c.is_huge:
-            raise ValueError(f"{c} is not a huge sample")
-        huge_counts.append(c)
-
+    counts = [_as_count(c) for c in own_counts]
     report = CheckReport(
         "equilibrium",
         dict(
-            params.as_dict(),
-            finite_samples=[str(c) for c in finite_counts],
-            huge_samples=[str(c) for c in huge_counts],
+            asdict(params),
+            finite_samples=[str(c) for c in counts if c.is_finite],
+            huge_samples=[str(c) for c in counts if c.is_huge],
         ),
     )
 
     for agent, own, other in ((1, strat[0], strat[1]), (2, strat[1], strat[0])):
-        for count in finite_counts + huge_counts:
+        for count in counts:
             cellstates = sorted(cell_by_own_count(agent, count), key=str)
             prescribed = own.action(count)
             deviation = "B" if prescribed == "A" else "A"

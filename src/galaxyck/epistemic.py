@@ -64,7 +64,6 @@ class ModelFormatError(ValueError):
     def __init__(self, field: str, message: str):
         super().__init__(f"{field}: {message}")
         self.field = field
-        self.reason = message
 
 
 class AumannModel:
@@ -328,11 +327,7 @@ def knows(model: Any, agent: Agent, event: Any) -> frozenset:
 
 def knows_group(model: Any, event: Any) -> frozenset:
     """States where every agent knows the event."""
-    result: Optional[frozenset] = None
-    for agent in model.agents:
-        ks = knows(model, agent, event)
-        result = ks if result is None else result & ks
-    return frozenset(result or frozenset())
+    return frozenset.intersection(*(knows(model, agent, event) for agent in model.agents))
 
 
 def _block_within(model: AumannModel, ev: Event, omega: State) -> bool:
@@ -477,7 +472,6 @@ def model_from_dict(payload: Any) -> tuple:
     raw_agents = payload.get("agents")
     if not isinstance(raw_agents, list) or not raw_agents:
         raise ModelFormatError("agents", "expected a nonempty list of agents")
-    agents = []
     partitions: dict = {}
     for i, spec in enumerate(raw_agents):
         base = f"agents[{i}]"
@@ -492,7 +486,6 @@ def model_from_dict(payload: Any) -> tuple:
         if not isinstance(cells, list) or not cells:
             raise ModelFormatError(f"{base}.partition", "expected a nonempty list of cells")
         seen: set = set()
-        parsed_cells = []
         for j, cell in enumerate(cells):
             where = f"{base}.partition[{j}]"
             if not isinstance(cell, list) or not cell:
@@ -506,12 +499,10 @@ def model_from_dict(payload: Any) -> tuple:
                     seen.add(s)
             except TypeError:  # an unhashable member, such as a list
                 raise ModelFormatError(where, f"unknown state {s!r}") from None
-            parsed_cells.append(cell)
         missing = carrier - seen
         if missing:
             raise ModelFormatError(f"{base}.partition", f"states not covered: {sorted(missing)}")
-        agents.append(name)
-        partitions[name] = parsed_cells
+        partitions[name] = cells
 
     raw_events = payload.get("events", {})
     if not isinstance(raw_events, dict):
@@ -529,4 +520,4 @@ def model_from_dict(payload: Any) -> tuple:
             raise ModelFormatError(where, f"unknown state {s!r}") from None
         events[name] = frozenset(members)
 
-    return AumannModel(agents, partitions), events
+    return AumannModel(list(partitions), partitions), events

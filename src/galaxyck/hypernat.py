@@ -56,7 +56,7 @@ class HyperNat:
         if omega_coeff < 0:
             raise ValueError("anchor coefficient must be nonnegative")
         if omega_coeff == 0 and offset < 0:
-            raise ValueError("finite values must be nonnegative")
+            raise ValueError("finite naturals are nonnegative")
         _set_coeff(self, omega_coeff)
         _set_offset(self, offset)
 
@@ -76,17 +76,6 @@ class HyperNat:
     @property
     def is_huge(self) -> bool:
         return self.omega_coeff > 0
-
-    def compare(self, other: Union["HyperNat", int]) -> int:
-        """Three-way comparison: -1, 0 or 1."""
-        o = other if isinstance(other, HyperNat) else _coerce(other)
-        if o is None:
-            raise TypeError(f"cannot compare HyperNat with {type(other).__name__}")
-        if self.omega_coeff != o.omega_coeff:
-            return -1 if self.omega_coeff < o.omega_coeff else 1
-        if self.offset != o.offset:
-            return -1 if self.offset < o.offset else 1
-        return 0
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, HyperNat):
@@ -192,8 +181,6 @@ def _make(omega_coeff: int, offset: int) -> HyperNat:
 
 def finite(k: int) -> HyperNat:
     """The ordinary natural ``k``."""
-    if k < 0:
-        raise ValueError("finite naturals are nonnegative")
     return HyperNat(0, k)
 
 

@@ -200,6 +200,60 @@ def test_emailgame_equilibrium():
     assert run_cli("emailgame", "equilibrium", "--finite-samples", "5..1").returncode == 2
 
 
+def test_payoff_parameter_length_cap(capsys):
+    from galaxyck import cli
+
+    # At the cap, agent 2's expected payoff at count 0 carries the digits
+    # of M, p and eps at once (2996 in its numerator) and still renders.
+    at_cap = {
+        "M": "9" * 1000,
+        "p": "1/" + str(10**998 - 3),
+        "eps": "1/" + str(10**998 - 11),
+        "L": "1e995",
+    }
+    argv = ["emailgame", "equilibrium"] + [f"--{k}={v}" for k, v in at_cap.items()]
+    assert cli.main(argv) == 0
+    payload = json.loads(capsys.readouterr().out)
+    case = next(
+        c for c in payload["cases"] if (c["input"]["agent"], c["input"]["own_count"]) == (2, "0")
+    )
+    assert len(case["actual"]["expected_payoff"].split("/")[0]) == 2996
+
+    past_cap = [("M", "9" * 1001), ("L", "1e996"), ("M", "1e10000"), ("eps", "1e-4301"),
+                ("M", "1e100000000")]
+    for name, text in past_cap:
+        assert cli.main(["emailgame", "equilibrium", f"--{name}={text}"]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: --{name} exceeds 1000 characters, counting eN as N more\n"
+
+
+@pytest.mark.parametrize(
+    "option,line",
+    [
+        (("--huge-samples", "5"), "error: 5 is not a huge sample"),
+        (("--finite-samples", "1,-2"), "error: finite naturals are nonnegative"),
+    ],
+)
+def test_equilibrium_count_tiers_are_usage_errors(capsys, option, line):
+    from galaxyck import cli
+
+    assert cli.main(["emailgame", "equilibrium", *option]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == line + "\n"
+
+
+def test_equilibrium_audit_error_is_internal(monkeypatch, capsys):
+    from galaxyck import cli, emailgame
+
+    def crash(s, params):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(emailgame, "state_probability", crash)
+    assert cli.main(["emailgame", "equilibrium"]) == 3
+    assert capsys.readouterr().err == "error: internal error: ValueError: boom\n"
+
+
 def test_int_samples_caps_ranges():
     from galaxyck import cli
 

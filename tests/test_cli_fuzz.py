@@ -1,5 +1,5 @@
-"""Fuzzing the CLI inputs: drawn JSON model documents, mutated valid ones and
-drawn count text.  Whatever the input, the exit code is 0 (pass), 1 (fail)
+"""Fuzzing the CLI inputs: drawn JSON model documents, mutated valid ones,
+drawn count text and drawn payoff text.  Whatever the input, the exit code is 0 (pass), 1 (fail)
 or 2 (usage error); an internal error would be exit 3."""
 
 import contextlib
@@ -146,3 +146,17 @@ def test_ast_ck_on_drawn_text(text):
 @given(texts=st.lists(count_text, min_size=1, max_size=4), sep=st.sampled_from([",", ", ", ",,"]))
 def test_monotone_on_drawn_text(texts, sep):
     run_main(["emailgame", "monotone", f"--samples={sep.join(texts)}"])
+
+
+payoff_text = (
+    st.text(max_size=12)
+    | st.from_regex(r"\A\s*[+-]?(\d{1,6}(\.\d{0,6})?|\.\d{1,6})([eE][+-]?\d{1,5})?\s*\Z")
+    | st.from_regex(r"\A\s*[+-]?\d{1,40}\s*/\s*\d{1,40}\s*\Z")
+    | st.sampled_from(["1e995", "1e996", "1e-4301", "9" * 1001])
+)
+
+
+@FUZZ
+@given(name=st.sampled_from(["M", "L", "p", "eps"]), text=payoff_text)
+def test_equilibrium_on_drawn_payoff_text(name, text):
+    run_main(["emailgame", "equilibrium", f"--{name}={text}"])

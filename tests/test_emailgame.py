@@ -389,7 +389,7 @@ def case_for(report, agent, count):
 
 def test_equilibrium_audit_passes_and_pins_payoffs():
     cutoff = CutoffStrategy.play_a_while_finite()
-    report = best_response_check((cutoff, cutoff), PARAMS, range(0, 11), [huge(1, 0)])
+    report = best_response_check((cutoff, cutoff), PARAMS, [*range(0, 11), huge(1, 0)])
     assert report.passed
 
     # agent 2, no messages sent: conditional on {(a,0,0),(b,1,0)}
@@ -414,7 +414,7 @@ def test_equilibrium_audit_reports_profitable_deviations():
     # the cutoff: every cell has a strictly better deviation.
     cutoff = CutoffStrategy.play_a_while_finite()
     inverted = CutoffStrategy(rule=lambda count: "B" if count.is_finite else "A")
-    report = best_response_check((inverted, cutoff), PARAMS, range(0, 4), [huge(1, 0)])
+    report = best_response_check((inverted, cutoff), PARAMS, [*range(0, 4), huge(1, 0)])
     assert report.cases and not any(c.passed for c in report.cases)
 
     # agent 2, no messages sent: agent 1 plays B in both (a,0,0) and (b,1,0),
@@ -436,27 +436,38 @@ def test_equilibrium_audit_reports_profitable_deviations():
 def test_equilibrium_holds_with_unit_payoffs():
     cutoff = CutoffStrategy.play_a_while_finite()
     params = PayoffParams(1, 1, Fraction(1, 2), Fraction(1, 10))
-    report = best_response_check((cutoff, cutoff), params, range(0, 11), [huge(1, 0)])
+    report = best_response_check((cutoff, cutoff), params, [*range(0, 11), huge(1, 0)])
     assert report.passed
 
 
 def test_equilibrium_guard_flags_probability_dependent_huge_cells():
     cutoff = CutoffStrategy.play_a_while_finite()
     flip = CutoffStrategy(rule=lambda c: "A" if c == huge(1, -1) else "B")
-    report = best_response_check((cutoff, flip), PARAMS, [], [huge(1, 0)])
+    report = best_response_check((cutoff, flip), PARAMS, [huge(1, 0)])
     agent1_case = next(c for c in report.cases if c.input["agent"] == 1)
     assert not agent1_case.passed
     assert "insufficient information" in agent1_case.actual["verdict"]
 
 
 def test_equilibrium_sample_validation():
+    # Each count's tier picks its basis; the report lists the tiers apart,
+    # while the cases follow the given order.
     cutoff = CutoffStrategy.play_a_while_finite()
+    report = best_response_check((cutoff, cutoff), PARAMS, [huge(1, 0), 3, finite(0)])
+    assert report.params["finite_samples"] == ["3", "0"]
+    assert report.params["huge_samples"] == ["w+0"]
+    cases = [(c.input["agent"], c.input["own_count"], c.actual["basis"]) for c in report.cases]
+    assert cases == [
+        (agent, count, basis)
+        for agent in (1, 2)
+        for count, basis in (("w+0", "pointwise"), ("3", "expected"), ("0", "expected"))
+    ]
     with pytest.raises(ValueError):
-        best_response_check((cutoff, cutoff), PARAMS, [huge(1, 0)], [])
+        best_response_check((cutoff, cutoff), PARAMS, [-1])
+    with pytest.raises(TypeError):
+        best_response_check((cutoff, cutoff), PARAMS, ["3"])
     with pytest.raises(ValueError):
-        best_response_check((cutoff, cutoff), PARAMS, [], [finite(3)])
-    with pytest.raises(ValueError):
-        best_response_check((cutoff,), PARAMS, [], [])
+        best_response_check((cutoff,), PARAMS, [])
 
 
 def test_strategy_action_validation():

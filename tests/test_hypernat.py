@@ -66,12 +66,6 @@ def test_sub_underflow():
         3 - huge(1, 0)
 
 
-def test_compare():
-    assert finite(3).compare(finite(3)) == 0
-    assert finite(3).compare(4) == -1
-    assert huge(1, -5).compare(finite(10**9)) == 1
-
-
 def test_int_interop():
     assert finite(3) == 3
     assert huge(1, 0) != 3
@@ -235,7 +229,6 @@ def test_comparisons_match_tuple_order(x, y):
     for op in ORDERS:
         assert op(x, y) == op(a, b)
         assert op(y, x) == op(b, a)
-    assert x.compare(y) == (a > b) - (a < b)
 
 
 @given(values, operands)
