@@ -159,9 +159,10 @@ def cmd_email_monotone(args) -> tuple:
 
 def _check_payoff_length(name: str, text: str) -> None:
     """Bound a payoff parameter before Fraction reads it: neither its numerator
-    nor its denominator has more digits than the text plus its exponent."""
+    nor its denominator has more digits than the text plus its exponent.
+    Fraction strips every str.isspace() character, int() not all of them."""
     try:
-        size = len(text) + abs(int(text.lower().partition("e")[2] or 0))
+        size = len(text) + abs(int(text.strip().lower().partition("e")[2] or 0))
     except ValueError:  # no number, which Fraction rejects, or too long for int()
         size = len(text)
     if size > MAX_PAYOFF_CHARS:

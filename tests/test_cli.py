@@ -220,7 +220,7 @@ def test_payoff_parameter_length_cap(capsys):
     assert len(case["actual"]["expected_payoff"].split("/")[0]) == 2996
 
     past_cap = [("M", "9" * 1001), ("L", "1e996"), ("M", "1e10000"), ("eps", "1e-4301"),
-                ("M", "1e100000000")]
+                ("M", "1e100000000"), ("M", "1E10000\x1f"), ("p", "\x1c1e-5000\x1d")]
     for name, text in past_cap:
         assert cli.main(["emailgame", "equilibrium", f"--{name}={text}"]) == 2
         err = capsys.readouterr().err
