@@ -58,24 +58,24 @@ def _hyper_list(text: str) -> list:
     return values
 
 
-def _int_samples(text: str) -> list:
+def _finite_samples(text: str) -> list:
     """Either a comma list ("0,1,2") or an inclusive range ("0..10") of at
-    most MAX_RANGE counts."""
+    most MAX_RANGE finite counts, each read in the count grammar."""
     if ".." in text:
-        lo_text, hi_text = text.split("..", 1)
-        try:
-            lo, hi = int(lo_text), int(hi_text)
-        except ValueError:
-            raise UsageError(f"bad range {text!r}") from None
+        lo, hi = (_finite_sample(end) for end in text.split("..", 1))
         if lo > hi:
             raise UsageError(f"empty range {text!r}")
         if hi - lo >= MAX_RANGE:
             raise UsageError(f"range {text!r} has more than {MAX_RANGE} counts")
-        return list(range(lo, hi + 1))
-    try:
-        return [int(token) for token in _split_csv(text)]
-    except ValueError:
-        raise UsageError(f"bad integer list {text!r}") from None
+        return list(range(int(lo), int(hi) + 1))
+    return [_finite_sample(token) for token in _split_csv(text)]
+
+
+def _finite_sample(text: str):
+    count = _hyper(text)
+    if count.is_huge:
+        raise UsageError(f"{count} is not a finite sample")
+    return count
 
 
 def _load_json(path: str):
@@ -176,10 +176,8 @@ def cmd_email_equilibrium(args) -> tuple:
         params = PayoffParams(args.M, args.L, args.p, args.eps)
     except (ValueError, ZeroDivisionError, TypeError) as exc:
         raise UsageError(f"bad payoff parameters: {exc}") from None
-    finite_samples = _int_samples(args.finite_samples)
+    finite_samples = _finite_samples(args.finite_samples)
     huge_samples = _hyper_list(args.huge_samples)
-    if any(k < 0 for k in finite_samples):
-        raise UsageError("finite naturals are nonnegative")
     for count in huge_samples:
         if count.is_finite:
             raise UsageError(f"{count} is not a huge sample")

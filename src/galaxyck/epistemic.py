@@ -180,38 +180,27 @@ class AumannModel:
         every later meet or common-knowledge query on the model reads it.
         """
         if self._index is None:
-            uf = _UnionFind(self._states)
+            parent = {s: s for s in self._states}
+
+            def find(x):
+                while parent[x] != x:
+                    parent[x] = x = parent[parent[x]]  # path halving
+                return x
+
             for cells in self._partitions.values():
                 for cell in cells:
-                    anchor = next(iter(cell))
-                    for s in cell:
-                        uf.union(anchor, s)
+                    members = iter(cell)
+                    root = find(next(members))
+                    for s in members:
+                        parent[find(s)] = root
             groups: dict = {}
             for s in self._states:
-                groups.setdefault(uf.find(s), []).append(s)
+                groups.setdefault(find(s), []).append(s)
             blocks = tuple(
                 frozenset(g) for g in sorted(groups.values(), key=lambda g: str(g[0]))
             )
             self._index = (blocks, {s: block for block in blocks for s in block})
         return self._index
-
-
-class _UnionFind:
-    def __init__(self, items: Iterable):
-        self._parent = {x: x for x in items}
-
-    def find(self, x):
-        root = x
-        while self._parent[root] != root:
-            root = self._parent[root]
-        while self._parent[x] != root:
-            self._parent[x], x = root, self._parent[x]
-        return root
-
-    def union(self, a, b) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self._parent[rb] = ra
 
 
 @dataclass(frozen=True)
@@ -312,7 +301,7 @@ def link_iter(model: Any, event: Any, n: Any) -> frozenset:
 
 def is_reachable(model: Any, x: State, y: State) -> bool:
     """Some finite chain of cells joins ``x`` to ``y``."""
-    return model.metric(x, y) is not None
+    return reachability_relation(model).related(x, y)
 
 
 def knows(model: Any, agent: Agent, event: Any) -> frozenset:
@@ -430,7 +419,7 @@ def meet_equals_galaxies(model: Any) -> CheckReport:
     def _render(side):
         return sorted(
             (sorted(map(str, block)) for block in side),
-            key=lambda block: block[0] if block else "",
+            key=lambda block: block[0],
         )
 
     report.add(
@@ -490,15 +479,12 @@ def model_from_dict(payload: Any) -> tuple:
             where = f"{base}.partition[{j}]"
             if not isinstance(cell, list) or not cell:
                 raise ModelFormatError(where, "cells are nonempty lists of states")
-            try:
-                for s in cell:
-                    if s not in carrier:
-                        raise ModelFormatError(where, f"unknown state {s!r}")
-                    if s in seen:
-                        raise ModelFormatError(where, f"state {s!r} appears in two cells")
-                    seen.add(s)
-            except TypeError:  # an unhashable member, such as a list
-                raise ModelFormatError(where, f"unknown state {s!r}") from None
+            for s in cell:
+                if not (isinstance(s, str) and s in carrier):
+                    raise ModelFormatError(where, f"unknown state {s!r}")
+                if s in seen:
+                    raise ModelFormatError(where, f"state {s!r} appears in two cells")
+                seen.add(s)
         missing = carrier - seen
         if missing:
             raise ModelFormatError(f"{base}.partition", f"states not covered: {sorted(missing)}")
@@ -512,12 +498,9 @@ def model_from_dict(payload: Any) -> tuple:
         where = f"events.{name}"
         if not isinstance(members, list):
             raise ModelFormatError(where, "events are lists of states")
-        try:
-            for s in members:
-                if s not in carrier:
-                    raise ModelFormatError(where, f"unknown state {s!r}")
-        except TypeError:  # an unhashable member, such as a list
-            raise ModelFormatError(where, f"unknown state {s!r}") from None
+        for s in members:
+            if not (isinstance(s, str) and s in carrier):
+                raise ModelFormatError(where, f"unknown state {s!r}")
         events[name] = frozenset(members)
 
     return AumannModel(list(partitions), partitions), events

@@ -111,11 +111,10 @@ class SoritesRelation:
                     reflexivity.append({"n": n, "x": str(x)})
             for x in points:
                 for y in points:
-                    if self.in_level(n, x, y) != self.in_level(n, y, x):
+                    xy = self.in_level(n, x, y)
+                    if xy != self.in_level(n, y, x):
                         symmetry.append({"n": n, "x": str(x), "y": str(y)})
-            for x in points:
-                for y in points:
-                    if not self.in_level(n, x, y):
+                    if not xy:
                         continue
                     for z in points:
                         if self.in_level(n, y, z) and not self.in_level(n + 1, x, z):

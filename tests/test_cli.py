@@ -227,11 +227,24 @@ def test_payoff_parameter_length_cap(capsys):
         assert err == f"error: --{name} exceeds 1000 characters, counting eN as N more\n"
 
 
+_GRAMMAR_HINT = "as a hyper-natural (try 7, w+0, w-5 or 2*w+0)"
+
+
 @pytest.mark.parametrize(
     "option,line",
     [
         (("--huge-samples", "5"), "error: 5 is not a huge sample"),
-        (("--finite-samples", "1,-2"), "error: finite naturals are nonnegative"),
+        pytest.param(
+            ("--finite-samples", "1,-2"),
+            f"error: cannot parse '-2' {_GRAMMAR_HINT}",
+            id="option1-error: cannot parse '-2'",
+        ),
+        (("--finite-samples", "w+0"), "error: w+0 is not a finite sample"),
+        (("--finite-samples", "1_0"), f"error: cannot parse '1_0' {_GRAMMAR_HINT}"),
+        (("--finite-samples", "+3"), f"error: cannot parse '+3' {_GRAMMAR_HINT}"),
+        (("--finite-samples", "0..w+0"), "error: w+0 is not a finite sample"),
+        (("--finite-samples", "x..3"), f"error: cannot parse 'x' {_GRAMMAR_HINT}"),
+        (("--finite-samples", "1" * 1001), "error: a count has at most 1000 characters, got 1001"),
     ],
 )
 def test_equilibrium_count_tiers_are_usage_errors(capsys, option, line):
@@ -241,6 +254,16 @@ def test_equilibrium_count_tiers_are_usage_errors(capsys, option, line):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == line + "\n"
+
+
+def test_finite_samples_may_be_empty(capsys):
+    from galaxyck import cli
+
+    argv = ["emailgame", "equilibrium", "--finite-samples", "", "--huge-samples", "w+0"]
+    assert cli.main(argv) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["params"]["finite_samples"] == []
+    assert payload["params"]["huge_samples"] == ["w+0"]
 
 
 def test_equilibrium_audit_error_is_internal(monkeypatch, capsys):
@@ -257,9 +280,9 @@ def test_equilibrium_audit_error_is_internal(monkeypatch, capsys):
 def test_int_samples_caps_ranges():
     from galaxyck import cli
 
-    assert cli._int_samples("0..9999") == list(range(10_000))
+    assert cli._finite_samples("0..9999") == list(range(10_000))
     with pytest.raises(cli.UsageError, match="more than 10000 counts"):
-        cli._int_samples("0..10000")
+        cli._finite_samples("0..10000")
 
 
 def test_huge_sample_range_is_usage_error():

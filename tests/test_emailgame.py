@@ -314,6 +314,15 @@ def test_payoff_tables():
         payoff_pair("c", "A", "A", PARAMS)
 
 
+def test_untyped_components_name_their_cause():
+    with pytest.raises(TypeError) as err:
+        EmailGameState("b", 3, 0)
+    assert str(err.value) == "t must be a HyperNat (use state_b / STATE_A)"
+    with pytest.raises(TypeError) as err:
+        PayoffParams(2.0, "3", "1/2", "1/10")
+    assert str(err.value) == "payoff parameters are Fractions, ints or strings"
+
+
 def test_payoff_params_validation():
     assert PayoffParams("2", "3", "1/2", "1/10").eps == Fraction(1, 10)
     for bad in (

@@ -3,6 +3,7 @@ import random
 import pytest
 
 import helpers
+from galaxyck.emailgame import STATE_A, EmailGameModel, event_b, state_b
 from galaxyck.epistemic import (
     AumannModel,
     Event,
@@ -125,6 +126,20 @@ def test_disconnected_model():
     assert model.metric("s0", "s2") is None
     assert not is_reachable(model, "s0", "s3")
     assert len(model.components()) == 2
+
+
+def test_is_reachable_is_the_galaxy_relation_on_both_carriers():
+    game = EmailGameModel()
+    far = state_b(huge(1, 0))
+    assert not is_reachable(game, STATE_A, far)  # at distance 2*w+0, not finite
+    assert ck_subjective(game, event_b(), far)
+    assert is_reachable(game, STATE_A, state_b(5))
+    assert is_reachable(game, far, state_b(huge(1, 7)))
+    rng = random.Random(59)
+    for model in [mail_chain_model()] + list(_several_component_models(rng, 5)):
+        for x in model.states:
+            for y in model.states:
+                assert is_reachable(model, x, y) == (model.metric(x, y) is not None)
 
 
 def test_metric_axioms_random_models():
@@ -389,28 +404,24 @@ def test_component_index_verdicts_match_bfs_closures():
                     assert ck_subjective(model, ev, omega) == expected
 
 
-def test_union_find_runs_once_per_model(monkeypatch):
-    from galaxyck import epistemic
-
-    built = []
-
-    class CountingUnionFind(epistemic._UnionFind):
-        def __init__(self, items):
-            built.append(1)
-            super().__init__(items)
-
-    monkeypatch.setattr(epistemic, "_UnionFind", CountingUnionFind)
+def test_union_find_runs_once_per_model():
     rng = random.Random(47)
-    for n, model in enumerate(_several_component_models(rng, 5), start=1):
+    for model in _several_component_models(rng, 5):
+        index = model.component_index()
         first = meet(model)
+        assert model.component_index() is index
         for event in helpers.all_events(model.states):
             for omega in model.states:
                 ck_classical(model, event, omega)
+                assert model.component_index() is index
                 ck_subjective(model, event, omega)
+                assert model.component_index() is index
                 ck_subjective(model, Event.from_predicate(event.__contains__), omega)
+                assert model.component_index() is index
         assert meet(model) is first
+        assert model.component_index() is index
         assert meet_equals_galaxies(model).passed
-        assert len(built) == n
+        assert model.component_index() is index
 
 
 def test_poisoned_index_leaves_bfs_oracles_alone():
@@ -487,3 +498,38 @@ def test_model_from_dict_diagnostics(mutate, field):
     with pytest.raises(ModelFormatError) as err:
         model_from_dict(doc)
     assert err.value.field == field
+
+
+_DOC = {
+    "states": ["w1", "w2"],
+    "agents": [{"name": "ann", "partition": [["w1", "w2"]]}],
+    "events": {"E": ["w1"]},
+}
+
+
+@pytest.mark.parametrize(
+    "call,exc,message",
+    [
+        (lambda: AumannModel(("x", "x"), {"x": [["s0"]]}), ValueError,
+         "agent names must be distinct"),
+        (lambda: AumannModel(("x", "y"), {"x": [["s0"]]}), ValueError,
+         "missing partition for agent 'y'"),
+        (lambda: mail_chain_model().partition("nope"), ValueError, "unknown agent 'nope'"),
+        (lambda: ck_classical(mail_chain_model(), [A], A), TypeError,
+         "events are sets of states or Event objects"),
+        (lambda: model_from_dict(dict(_DOC, agents=_DOC["agents"] * 2)), ModelFormatError,
+         "agents[1].name: duplicate agent 'ann'"),
+        (lambda: model_from_dict(dict(_DOC, events=[])), ModelFormatError,
+         "events: expected an object of named events"),
+        (lambda: link_agent(EmailGameModel(), 1, event_b()), ValueError,
+         "event needs an explicit member set on an infinite carrier"),
+        (lambda: knows(EmailGameModel(), 1, event_b()), ValueError,
+         "knowledge sets need an enumerable carrier"),
+        (lambda: meet(EmailGameModel()), ValueError, "the meet needs an explicit finite carrier"),
+    ],
+)
+def test_validation_errors_name_their_cause(call, exc, message):
+    with pytest.raises(exc) as err:
+        call()
+    assert str(err.value) == message
+

@@ -254,3 +254,18 @@ def test_scaling_matches_tuple_arithmetic(x, m):
     c, k = pair(x)
     assert revalidated(x * m) == (c * m, k * m)
     assert revalidated(m * x) == (c * m, k * m)
+
+
+@pytest.mark.parametrize(
+    "call,exc,message",
+    [
+        (lambda: HyperNat(1.5, 0), TypeError, "HyperNat components must be plain ints"),
+        (lambda: HyperNat(-1, 0), ValueError, "anchor coefficient must be nonnegative"),
+        (lambda: parse_hypernat(5), TypeError, "expected a string"),
+        (lambda: gap("x", 1), TypeError, "gap expects HyperNat or int endpoints"),
+    ],
+)
+def test_constructor_errors_name_their_cause(call, exc, message):
+    with pytest.raises(exc) as err:
+        call()
+    assert str(err.value) == message

@@ -65,6 +65,35 @@ def test_generating_axioms_flags_asymmetric_distance():
     assert not sym_case.passed
 
 
+def test_generating_axioms_lists_symmetry_witnesses():
+    def skewed(x, y):
+        return gap(x, y) if x <= y else gap(x, y) + 1
+
+    rel = SoritesRelation(dist=skewed)
+    report = rel.verify_generating_axioms([finite(i) for i in range(3)], n_max=2)
+    cases = {c.input["clause"]: c for c in report.cases}
+    # Only level 1 splits the pairs: distance 1 one way, 2 the other, bound 2.
+    assert cases["symmetry"].actual == [
+        {"n": 1, "x": "0", "y": "1"},
+        {"n": 1, "x": "1", "y": "0"},
+        {"n": 1, "x": "1", "y": "2"},
+        {"n": 1, "x": "2", "y": "1"},
+    ]
+    assert cases["reflexivity"].passed
+
+
+def test_generating_axioms_lists_composition_witnesses():
+    rel = SoritesRelation(dist=gap, gen=GeneratingSequence(lambda n: finite(n + 1)))
+    report = rel.verify_generating_axioms([finite(i) for i in range(5)], n_max=3)
+    cases = {c.input["clause"]: c for c in report.cases}
+    # Two gap-2 steps cover gap 4, which escapes t(3) = 4.
+    assert cases["composition"].actual == [
+        {"n": 2, "x": "0", "y": "2", "z": "4"},
+        {"n": 2, "x": "4", "y": "2", "z": "0"},
+    ]
+    assert cases["reflexivity"].passed and cases["symmetry"].passed
+
+
 def test_generating_axioms_lists_reflexivity_witnesses():
     # d(x, x) = 2 keeps every point out of its own level-0 and level-1 sets.
     rel = SoritesRelation(dist=lambda x, y: gap(x, y) + 2)
