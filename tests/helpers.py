@@ -1,10 +1,48 @@
-"""Random model generators, event enumeration and the child-process
-environment shared by the test suite."""
+"""The in-process CLI harness, the child-process environment, random model
+generators and event enumeration shared by the test suite."""
 
+import contextlib
+import io
+import json
 import os
 from pathlib import Path
+from typing import NamedTuple
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+GOLDEN = Path(__file__).resolve().parent / "golden"
+CASES = json.loads((GOLDEN / "cases.json").read_text(encoding="utf-8"))
+
+
+class CliRun(NamedTuple):
+    code: int
+    stdout: str
+    stderr: str
+
+
+def run_cli(argv, cwd=None):
+    """Run ``galaxyck.cli.main(argv)`` in this process, both streams captured.
+
+    argparse's usage errors raise ``SystemExit``; its code is the exit code,
+    as it would be for ``python -m galaxyck``.  The working directory is
+    restored afterwards.
+    """
+    # Imported here, not at module level: ``python tests/test_golden.py``
+    # imports this module before it puts SRC on sys.path.
+    from galaxyck import cli
+
+    out, err = io.StringIO(), io.StringIO()
+    previous = os.getcwd()
+    try:
+        if cwd is not None:
+            os.chdir(cwd)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = cli.main(list(argv))
+            except SystemExit as exc:
+                code = exc.code
+    finally:
+        os.chdir(previous)
+    return CliRun(code, out.getvalue(), err.getvalue())
 
 
 def subprocess_env(**extra):
@@ -33,8 +71,7 @@ def random_partition(rng, states):
 
 
 def random_model(rng, max_states=6, agent_counts=(2, 3)):
-    # Imported here so that a script importing only subprocess_env, such as
-    # ``python tests/test_golden.py``, runs without galaxyck on sys.path.
+    # Imported here for the same reason as in run_cli.
     from galaxyck.epistemic import AumannModel
 
     n = rng.randint(2, max_states)

@@ -1,12 +1,12 @@
 import json
 import os
-import subprocess
-import sys
 
 import pytest
 
+from galaxyck import cli, emailgame
 from galaxyck.hypernat import finite
-from helpers import subprocess_env
+from galaxyck.reports import CheckReport
+from helpers import run_cli
 
 MODEL_DOC = {
     "states": ["w1", "w2", "w3", "w4"],
@@ -18,15 +18,6 @@ MODEL_DOC = {
 }
 
 
-def run_cli(*args, env_extra=None):
-    return subprocess.run(
-        [sys.executable, "-m", "galaxyck", *args],
-        capture_output=True,
-        text=True,
-        env=subprocess_env(**(env_extra or {})),
-    )
-
-
 @pytest.fixture
 def model_file(tmp_path):
     path = tmp_path / "model.json"
@@ -35,8 +26,8 @@ def model_file(tmp_path):
 
 
 def test_model_check_pass(model_file):
-    result = run_cli("model", "check", "--file", model_file, "--event", "E", "--state", "w1")
-    assert result.returncode == 0, result.stderr
+    result = run_cli(["model", "check", "--file", model_file, "--event", "E", "--state", "w1"])
+    assert result.code == 0, result.stderr
     payload = json.loads(result.stdout)
     assert payload["check"] == "model-check"
     assert payload["pass"] is True
@@ -44,18 +35,18 @@ def test_model_check_pass(model_file):
 
 
 def test_model_check_failure_exits_one(model_file):
-    result = run_cli("model", "check", "--file", model_file, "--event", "E", "--state", "w4")
-    assert result.returncode == 1
+    result = run_cli(["model", "check", "--file", model_file, "--event", "E", "--state", "w4"])
+    assert result.code == 1
     payload = json.loads(result.stdout)
     assert payload["pass"] is False
 
 
 def test_model_check_subjective_mode(model_file):
     result = run_cli(
-        "model", "check", "--file", model_file,
-        "--event", "All", "--state", "w4", "--mode", "subjective",
+        ["model", "check", "--file", model_file, "--event", "All", "--state", "w4",
+         "--mode", "subjective"]
     )
-    assert result.returncode == 0
+    assert result.code == 0
 
 
 def test_model_check_malformed_partition(tmp_path):
@@ -63,49 +54,46 @@ def test_model_check_malformed_partition(tmp_path):
     doc["agents"][0]["partition"][1] = ["w2"]  # w2 now in two ann cells, w3 uncovered
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
-    result = run_cli("model", "check", "--file", str(path), "--event", "E", "--state", "w1")
-    assert result.returncode == 2
+    result = run_cli(["model", "check", "--file", str(path), "--event", "E", "--state", "w1"])
+    assert result.code == 2
     assert "partition" in result.stderr
 
 
 def test_model_check_unknown_event_and_state(model_file):
     assert run_cli(
-        "model", "check", "--file", model_file, "--event", "nope", "--state", "w1"
-    ).returncode == 2
+        ["model", "check", "--file", model_file, "--event", "nope", "--state", "w1"]
+    ).code == 2
     assert run_cli(
-        "model", "check", "--file", model_file, "--event", "E", "--state", "nope"
-    ).returncode == 2
+        ["model", "check", "--file", model_file, "--event", "E", "--state", "nope"]
+    ).code == 2
 
 
 def test_model_check_unreadable_and_invalid_json(tmp_path):
     missing = run_cli(
-        "model", "check", "--file", str(tmp_path / "none.json"), "--event", "E", "--state", "w1"
+        ["model", "check", "--file", str(tmp_path / "none.json"), "--event", "E", "--state", "w1"]
     )
-    assert missing.returncode == 2
+    assert missing.code == 2
     garbled = tmp_path / "garbled.json"
     garbled.write_text("{not json", encoding="utf-8")
-    result = run_cli("model", "check", "--file", str(garbled), "--event", "E", "--state", "w1")
-    assert result.returncode == 2
+    result = run_cli(["model", "check", "--file", str(garbled), "--event", "E", "--state", "w1"])
+    assert result.code == 2
     assert "invalid JSON" in result.stderr
 
 
 def test_emailgame_impossibility():
-    result = run_cli("emailgame", "impossibility", "--T", "5")
-    assert result.returncode == 0
+    result = run_cli(["emailgame", "impossibility", "--T", "5"])
+    assert result.code == 0
     payload = json.loads(result.stdout)
     assert payload["check"] == "impossibility"
     assert payload["params"] == {"T": 5}
     assert payload["pass"] is True
-    assert run_cli("emailgame", "impossibility", "--T", "0").returncode == 2
+    assert run_cli(["emailgame", "impossibility", "--T", "0"]).code == 2
 
 
-def test_impossibility_truncation_cap(monkeypatch, capsys):
-    from galaxyck import cli
-    from galaxyck.reports import CheckReport
-
+def test_impossibility_truncation_cap(monkeypatch):
     for T in ("1001", "1000000000"):
-        result = run_cli("emailgame", "impossibility", "--T", T)
-        assert result.returncode == 2
+        result = run_cli(["emailgame", "impossibility", "--T", T])
+        assert result.code == 2
         assert result.stdout == ""
         assert result.stderr.splitlines() == ["error: --T must be <= 1000"]
     built = []
@@ -115,32 +103,28 @@ def test_impossibility_truncation_cap(monkeypatch, capsys):
         return CheckReport("impossibility", {"T": T})
 
     monkeypatch.setattr(cli, "check_classical_impossibility", fake_check)
-    assert cli.main(["emailgame", "impossibility", "--T", "1001"]) == 2
+    assert run_cli(["emailgame", "impossibility", "--T", "1001"]).code == 2
     assert built == []  # rejected before any model is built
-    assert cli.main(["emailgame", "impossibility", "--T", str(cli.MAX_T)]) == 0
+    assert run_cli(["emailgame", "impossibility", "--T", str(cli.MAX_T)]).code == 0
     assert built == [1000]
-    capsys.readouterr()
 
 
-def test_model_file_size_cap(monkeypatch, capsys, model_file):
-    from galaxyck import cli
-
+def test_model_file_size_cap(monkeypatch, model_file):
     size = os.path.getsize(model_file)
     argv = ["model", "check", "--file", model_file, "--event", "E", "--state", "w1"]
     monkeypatch.setattr(cli, "MAX_FILE_BYTES", size)
-    assert cli.main(argv) == 0
-    capsys.readouterr()
+    assert run_cli(argv).code == 0
     monkeypatch.setattr(cli, "MAX_FILE_BYTES", size - 1)
-    assert cli.main(argv) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == f"error: {model_file}: larger than {size - 1} bytes\n"
+    result = run_cli(argv)
+    assert result.code == 2
+    assert result.stdout == ""
+    assert result.stderr == f"error: {model_file}: larger than {size - 1} bytes\n"
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="needs an endless file")
 def test_endless_model_file_is_usage_error():
-    result = run_cli("model", "check", "--file", "/dev/zero", "--event", "E", "--state", "w1")
-    assert result.returncode == 2
+    result = run_cli(["model", "check", "--file", "/dev/zero", "--event", "E", "--state", "w1"])
+    assert result.code == 2
     assert result.stderr == "error: /dev/zero: larger than 16777216 bytes\n"
 
 
@@ -155,33 +139,31 @@ def test_endless_model_file_is_usage_error():
 def test_model_check_undecodable_json_is_usage_error(tmp_path, content, message):
     path = tmp_path / "bad.json"
     path.write_bytes(content)
-    result = run_cli("model", "check", "--file", str(path), "--event", "E", "--state", "w1")
-    assert result.returncode == 2
+    result = run_cli(["model", "check", "--file", str(path), "--event", "E", "--state", "w1"])
+    assert result.code == 2
     assert result.stderr.startswith(f"error: {path}: {message}")
     assert len(result.stderr.splitlines()) == 1
 
 
 def test_long_count_is_usage_error():
-    from galaxyck import cli
-
     assert cli._hyper("9" * 1000) == finite(int("9" * 1000))
     # Parsed, 4300 nines would step to a count too long to render.
-    result = run_cli("emailgame", "monotone", "--samples", "9" * 4300)
-    assert result.returncode == 2
+    result = run_cli(["emailgame", "monotone", "--samples", "9" * 4300])
+    assert result.code == 2
     assert result.stderr == "error: a count has at most 1000 characters, got 4300\n"
 
 
 def test_emailgame_ast_ck():
-    assert run_cli("emailgame", "ast-ck", "--t", "w+0").returncode == 0
-    assert run_cli("emailgame", "ast-ck", "--t", "2*w+0").returncode == 0
-    assert run_cli("emailgame", "ast-ck", "--t", "3").returncode == 1
-    assert run_cli("emailgame", "ast-ck", "--t", "0").returncode == 2
-    assert run_cli("emailgame", "ast-ck", "--t", "blah").returncode == 2
+    assert run_cli(["emailgame", "ast-ck", "--t", "w+0"]).code == 0
+    assert run_cli(["emailgame", "ast-ck", "--t", "2*w+0"]).code == 0
+    assert run_cli(["emailgame", "ast-ck", "--t", "3"]).code == 1
+    assert run_cli(["emailgame", "ast-ck", "--t", "0"]).code == 2
+    assert run_cli(["emailgame", "ast-ck", "--t", "blah"]).code == 2
 
 
 def test_emailgame_monotone():
-    result = run_cli("emailgame", "monotone", "--samples", "0,4,w+0")
-    assert result.returncode == 0
+    result = run_cli(["emailgame", "monotone", "--samples", "0,4,w+0"])
+    assert result.code == 0
     payload = json.loads(result.stdout)
     assert payload["check"] == "monotone"
     assert len(payload["cases"]) == 3
@@ -189,20 +171,18 @@ def test_emailgame_monotone():
 
 def test_emailgame_equilibrium():
     result = run_cli(
-        "emailgame", "equilibrium", "--M", "2", "--L", "3", "--p", "1/2", "--eps", "1/10"
+        ["emailgame", "equilibrium", "--M", "2", "--L", "3", "--p", "1/2", "--eps", "1/10"]
     )
-    assert result.returncode == 0
+    assert result.code == 0
     payload = json.loads(result.stdout)
     assert payload["pass"] is True
     assert payload["params"]["M"] == "2/1"
-    assert run_cli("emailgame", "equilibrium", "--eps", "2").returncode == 2
-    assert run_cli("emailgame", "equilibrium", "--M", "-1").returncode == 2
-    assert run_cli("emailgame", "equilibrium", "--finite-samples", "5..1").returncode == 2
+    assert run_cli(["emailgame", "equilibrium", "--eps", "2"]).code == 2
+    assert run_cli(["emailgame", "equilibrium", "--M", "-1"]).code == 2
+    assert run_cli(["emailgame", "equilibrium", "--finite-samples", "5..1"]).code == 2
 
 
-def test_payoff_parameter_length_cap(capsys):
-    from galaxyck import cli
-
+def test_payoff_parameter_length_cap():
     # At the cap, agent 2's expected payoff at count 0 carries the digits
     # of M, p and eps at once (2996 in its numerator) and still renders.
     at_cap = {
@@ -212,8 +192,9 @@ def test_payoff_parameter_length_cap(capsys):
         "L": "1e995",
     }
     argv = ["emailgame", "equilibrium"] + [f"--{k}={v}" for k, v in at_cap.items()]
-    assert cli.main(argv) == 0
-    payload = json.loads(capsys.readouterr().out)
+    result = run_cli(argv)
+    assert result.code == 0
+    payload = json.loads(result.stdout)
     case = next(
         c for c in payload["cases"] if (c["input"]["agent"], c["input"]["own_count"]) == (2, "0")
     )
@@ -222,9 +203,9 @@ def test_payoff_parameter_length_cap(capsys):
     past_cap = [("M", "9" * 1001), ("L", "1e996"), ("M", "1e10000"), ("eps", "1e-4301"),
                 ("M", "1e100000000"), ("M", "1E10000\x1f"), ("p", "\x1c1e-5000\x1d")]
     for name, text in past_cap:
-        assert cli.main(["emailgame", "equilibrium", f"--{name}={text}"]) == 2
-        err = capsys.readouterr().err
-        assert err == f"error: --{name} exceeds 1000 characters, counting eN as N more\n"
+        result = run_cli(["emailgame", "equilibrium", f"--{name}={text}"])
+        assert result.code == 2
+        assert result.stderr == f"error: --{name} exceeds 1000 characters, counting eN as N more\n"
 
 
 _GRAMMAR_HINT = "as a hyper-natural (try 7, w+0, w-5 or 2*w+0)"
@@ -247,47 +228,40 @@ _GRAMMAR_HINT = "as a hyper-natural (try 7, w+0, w-5 or 2*w+0)"
         (("--finite-samples", "1" * 1001), "error: a count has at most 1000 characters, got 1001"),
     ],
 )
-def test_equilibrium_count_tiers_are_usage_errors(capsys, option, line):
-    from galaxyck import cli
-
-    assert cli.main(["emailgame", "equilibrium", *option]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == line + "\n"
+def test_equilibrium_count_tiers_are_usage_errors(option, line):
+    result = run_cli(["emailgame", "equilibrium", *option])
+    assert result.code == 2
+    assert result.stdout == ""
+    assert result.stderr == line + "\n"
 
 
-def test_finite_samples_may_be_empty(capsys):
-    from galaxyck import cli
-
-    argv = ["emailgame", "equilibrium", "--finite-samples", "", "--huge-samples", "w+0"]
-    assert cli.main(argv) == 0
-    payload = json.loads(capsys.readouterr().out)
+def test_finite_samples_may_be_empty():
+    result = run_cli(["emailgame", "equilibrium", "--finite-samples", "", "--huge-samples", "w+0"])
+    assert result.code == 0
+    payload = json.loads(result.stdout)
     assert payload["params"]["finite_samples"] == []
     assert payload["params"]["huge_samples"] == ["w+0"]
 
 
-def test_equilibrium_audit_error_is_internal(monkeypatch, capsys):
-    from galaxyck import cli, emailgame
-
+def test_equilibrium_audit_error_is_internal(monkeypatch):
     def crash(s, params):
         raise ValueError("boom")
 
     monkeypatch.setattr(emailgame, "state_probability", crash)
-    assert cli.main(["emailgame", "equilibrium"]) == 3
-    assert capsys.readouterr().err == "error: internal error: ValueError: boom\n"
+    result = run_cli(["emailgame", "equilibrium"])
+    assert result.code == 3
+    assert result.stderr == "error: internal error: ValueError: boom\n"
 
 
 def test_int_samples_caps_ranges():
-    from galaxyck import cli
-
     assert cli._finite_samples("0..9999") == list(range(10_000))
     with pytest.raises(cli.UsageError, match="more than 10000 counts"):
         cli._finite_samples("0..10000")
 
 
 def test_huge_sample_range_is_usage_error():
-    result = run_cli("emailgame", "equilibrium", "--finite-samples", "0..100000000000000")
-    assert result.returncode == 2
+    result = run_cli(["emailgame", "equilibrium", "--finite-samples", "0..100000000000000"])
+    assert result.code == 2
     assert result.stdout == ""
     assert result.stderr.splitlines() == [
         "error: range '0..100000000000000' has more than 10000 counts"
@@ -295,59 +269,53 @@ def test_huge_sample_range_is_usage_error():
 
 
 def test_sorites_demo_verdicts():
-    result = run_cli("sorites", "demo", "--alpha", "w+0", "--probes", "10,1000000,w+0,w-5")
-    assert result.returncode == 0
+    result = run_cli(["sorites", "demo", "--alpha", "w+0", "--probes", "10,1000000,w+0,w-5"])
+    assert result.code == 0
     payload = json.loads(result.stdout)
     verdicts = [case["actual"] for case in payload["cases"]]
     assert verdicts == ["unrelated", "related", "related", "unrelated", "unrelated"]
 
 
 def test_sorites_demo_edge_probes():
-    payload = json.loads(run_cli("sorites", "demo", "--probes", "0,2*w+0").stdout)
+    payload = json.loads(run_cli(["sorites", "demo", "--probes", "0,2*w+0"]).stdout)
     verdicts = [case["actual"] for case in payload["cases"][1:]]
     assert verdicts == ["related", "unrelated"]
-    assert run_cli("sorites", "demo", "--probes", "nope").returncode == 2
-
-
-def test_reports_are_deterministic():
-    first = run_cli("emailgame", "equilibrium")
-    second = run_cli("emailgame", "equilibrium")
-    assert first.stdout == second.stdout
-    assert json.loads(first.stdout)  # round-trips
+    assert run_cli(["sorites", "demo", "--probes", "nope"]).code == 2
 
 
 def test_report_schema_round_trip():
-    payload = json.loads(run_cli("emailgame", "monotone", "--samples", "1,w+0").stdout)
+    payload = json.loads(run_cli(["emailgame", "monotone", "--samples", "1,w+0"]).stdout)
     assert set(payload) == {"check", "params", "cases", "pass"}
     for case in payload["cases"]:
         assert set(case) == {"input", "expected", "actual", "pass"}
 
 
 def test_text_format():
-    result = run_cli("emailgame", "ast-ck", "--t", "w+0", "--format", "text")
-    assert result.returncode == 0
+    result = run_cli(["emailgame", "ast-ck", "--t", "w+0", "--format", "text"])
+    assert result.code == 0
     assert "result: PASS" in result.stdout
 
 
 def test_text_format_model_check(model_file):
     result = run_cli(
-        "model", "check", "--file", model_file, "--event", "E", "--state", "w1",
-        "--format", "text",
+        ["model", "check", "--file", model_file, "--event", "E", "--state", "w1",
+         "--format", "text"]
     )
-    assert result.returncode == 0
+    assert result.code == 0
     assert "meet:" in result.stdout
 
 
-def test_seed_env_var_has_no_effect():
-    plain = run_cli("sorites", "demo")
-    seeded = run_cli("sorites", "demo", env_extra={"SORITES_SEED": "abc"})
-    assert plain.returncode == seeded.returncode == 0
+def test_seed_env_var_has_no_effect(monkeypatch):
+    plain = run_cli(["sorites", "demo"])
+    monkeypatch.setenv("SORITES_SEED", "abc")
+    seeded = run_cli(["sorites", "demo"])
+    assert plain.code == seeded.code == 0
     assert seeded.stdout == plain.stdout
 
 
 def test_missing_subcommand_is_usage_error():
-    assert run_cli("emailgame").returncode == 2
-    assert run_cli().returncode == 2
+    assert run_cli(["emailgame"]).code == 2
+    assert run_cli([]).code == 2
 
 
 @pytest.mark.parametrize(
@@ -357,14 +325,12 @@ def test_missing_subcommand_is_usage_error():
         (MemoryError(), "error: internal error: MemoryError"),
     ],
 )
-def test_internal_error_exits_three(monkeypatch, capsys, exc, line):
-    from galaxyck import cli
-
+def test_internal_error_exits_three(monkeypatch, exc, line):
     def crash(args):
         raise exc
 
     monkeypatch.setattr(cli, "cmd_email_impossibility", crash)
-    assert cli.main(["emailgame", "impossibility", "--T", "5"]) == cli.EXIT_INTERNAL == 3
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == line + "\n"
+    result = run_cli(["emailgame", "impossibility", "--T", "5"])
+    assert result.code == cli.EXIT_INTERNAL == 3
+    assert result.stdout == ""
+    assert result.stderr == line + "\n"

@@ -2,15 +2,13 @@
 drawn count text and drawn payoff text.  Whatever the input, the exit code is 0 (pass), 1 (fail)
 or 2 (usage error); an internal error would be exit 3."""
 
-import contextlib
-import io
 import json
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from galaxyck import cli
+from helpers import run_cli
 
 FUZZ = settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
@@ -28,13 +26,11 @@ json_values = st.recursive(
 
 
 def run_main(argv):
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(argv)
-    assert code in (0, 1, 2), err.getvalue()
-    assert "internal error" not in err.getvalue()
-    assert "Traceback" not in err.getvalue()
-    return code, out.getvalue()
+    code, out, err = run_cli(argv)
+    assert code in (0, 1, 2), err
+    assert "internal error" not in err
+    assert "Traceback" not in err
+    return code, out
 
 
 @st.composite

@@ -8,6 +8,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
+from galaxyck import emailgame
 from galaxyck.emailgame import (
     STATE_A,
     CutoffStrategy,
@@ -195,6 +196,20 @@ def test_classical_impossibility_report():
         assert ck_classical(model, carrier, omega)
 
 
+def test_classical_impossibility_asks_about_the_b_event(monkeypatch):
+    events = []
+
+    def spy(model, event, omega):
+        events.append(event)
+        return ck_classical(model, event, omega)
+
+    monkeypatch.setattr(emailgame, "ck_classical", spy)
+    assert check_classical_impossibility(3).passed
+    b_states = {s for s in truncated_model(3).states if s.tag == "b"}
+    assert len(b_states) == 6
+    assert events == [b_states] * 7
+
+
 def test_infinite_carrier_refuses_enumeration():
     game = EmailGameModel()
     with pytest.raises(ValueError):
@@ -328,8 +343,10 @@ def test_payoff_params_validation():
     for bad in (
         dict(M=0, L=1, p="1/2", eps="1/10"),
         dict(M=1, L=-1, p="1/2", eps="1/10"),
+        dict(M=1, L=0, p="1/2", eps="1/10"),
         dict(M=1, L=1, p="1", eps="1/10"),
         dict(M=1, L=1, p="1/2", eps="2"),
+        dict(M=1, L=1, p="1/2", eps="1"),
     ):
         with pytest.raises(ValueError):
             PayoffParams(**bad)
@@ -440,6 +457,21 @@ def test_equilibrium_audit_reports_profitable_deviations():
     assert c.actual["prescribed_payoffs"] == [Fraction(0), Fraction(0)]
     assert c.actual["deviation_payoffs"] == [Fraction(2), Fraction(2)]
     assert c.actual["verdict"] == "profitable deviation"
+
+
+def test_equilibrium_audit_meets_a_finite_tie():
+    # Agent 2 switches to B at count 3.  In agent 1's count-3 cell, (b,3,2)
+    # and (b,3,3) weigh 2 : 1, so B's -L and M average to A's 0.
+    cutoff = CutoffStrategy.play_a_while_finite()
+    switch = CutoffStrategy(rule=lambda count: "A" if count < 3 else "B")
+    params = PayoffParams(2, 1, Fraction(1, 2), Fraction(1, 2))
+    report = best_response_check((cutoff, switch), params, [3])
+    tie = case_for(report, 1, "3")
+    assert tie.actual["expected_payoff"] == tie.actual["deviation_payoff"] == 0
+    assert tie.passed
+    c = case_for(report, 2, "3")
+    assert (c.actual["expected_payoff"], c.actual["deviation_payoff"]) == (-1, 0)
+    assert not c.passed
 
 
 def test_equilibrium_holds_with_unit_payoffs():

@@ -128,6 +128,21 @@ def test_disconnected_model():
     assert len(model.components()) == 2
 
 
+def test_one_agent_model():
+    model = AumannModel(("solo",), {"solo": [["s0", "s1"], ["s2"]]})
+    assert model.distances_from("s0") == {"s0": 0, "s1": 1}
+    assert model.metric("s0", "s1") == finite(1)
+    assert model.metric("s0", "s2") is None
+    for ck in (ck_classical, ck_subjective):
+        assert ck(model, {"s0", "s1"}, "s0")
+        assert not ck(model, {"s0"}, "s1")
+        with pytest.raises(ValueError, match="unknown agent/state pair"):
+            ck(model, {"s0"}, "nope")
+    for call in (lambda: model.distances_from("nope"), lambda: model.metric("s0", "nope")):
+        with pytest.raises(ValueError, match="unknown agent/state pair"):
+            call()
+
+
 def test_is_reachable_is_the_galaxy_relation_on_both_carriers():
     game = EmailGameModel()
     far = state_b(huge(1, 0))

@@ -10,40 +10,26 @@ Re-record after an intended report change with ``python tests/test_golden.py``.
 """
 
 import json
-import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
-from helpers import subprocess_env
-
-GOLDEN = Path(__file__).resolve().parent / "golden"
-CASES = json.loads((GOLDEN / "cases.json").read_text(encoding="utf-8"))
-
-
-def run_case(argv):
-    return subprocess.run(
-        [sys.executable, "-m", "galaxyck", *argv],
-        capture_output=True,
-        cwd=GOLDEN,
-        env=subprocess_env(),
-    )
+from helpers import CASES, GOLDEN, SRC, run_cli
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden_report(name):
     case = CASES[name]
-    result = run_case(case["argv"])
-    assert result.returncode == case["exit"], result.stderr.decode()
-    assert result.stdout == (GOLDEN / f"{name}.out").read_bytes()
+    result = run_cli(case["argv"], cwd=GOLDEN)
+    assert result.code == case["exit"], result.stderr
+    assert result.stdout.encode() == (GOLDEN / f"{name}.out").read_bytes()
 
 
 def record() -> None:
     for name, case in CASES.items():
-        result = run_case(case["argv"])
-        case["exit"] = result.returncode
-        (GOLDEN / f"{name}.out").write_bytes(result.stdout)
+        result = run_cli(case["argv"], cwd=GOLDEN)
+        case["exit"] = result.code
+        (GOLDEN / f"{name}.out").write_bytes(result.stdout.encode())
     with open(GOLDEN / "cases.json", "w", encoding="utf-8") as handle:
         handle.write("{\n")
         lines = [f"  {json.dumps(name)}: {json.dumps(case)}" for name, case in CASES.items()]
@@ -52,4 +38,5 @@ def record() -> None:
 
 
 if __name__ == "__main__":
+    sys.path.insert(0, str(SRC))
     record()

@@ -69,6 +69,8 @@ def test_sub_underflow():
 def test_int_interop():
     assert finite(3) == 3
     assert huge(1, 0) != 3
+    assert finite(1) != True  # a bool is not a count
+    assert finite(0) != False
     assert finite(2) + 3 == 5
     assert 3 + finite(2) == finite(5)
     assert huge(1, 0) - 1 == huge(1, -1)

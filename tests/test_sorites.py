@@ -116,6 +116,8 @@ def test_empty_sample_vacuous():
 def test_doubling_violations():
     assert GeneratingSequence.powers_of_two().doubling_violations(10) == []
     assert GeneratingSequence(lambda n: finite(n + 1)).doubling_violations(4) == [1, 2, 3]
+    assert GeneratingSequence(lambda n: huge(1, 0) if n else 1).doubling_violations(1) == [0]
+    assert GeneratingSequence(lambda n: 0).doubling_violations(1) == [0]
 
 
 def test_custom_int_thresholds_are_coerced():
