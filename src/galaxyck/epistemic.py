@@ -1,20 +1,22 @@
 """Partition models of interactive knowledge.
 
 An :class:`AumannModel` is an explicit finite carrier with one partition per
-agent.  The link of an event through an agent's partition collects every
-state sharing a cell with the event; iterating the group link induces a
-breadth-first metric whose connected components are the carrier's
-reachability classes.  Both walks are linear in the states they reach:
-``link_iter`` takes the n-fold link as one multi-source frontier walk that
-reads each reached state's cells once, and ``distances_from`` reads the
-model's cell table directly.  On top of that sit the knowledge operators and
-two common-knowledge tests: the classical one (the closure of the true state
-lies inside the event) and the subjective one (nothing outside the event is
-at finite link distance from the true state).  On a finite carrier both
-reduce to one question, answered from a component index that each model
-builds once by union-find and caches: does the true state's block of the
-meet lie inside the event?  The breadth-first ``closure``, ``components``
-and ``distances_from`` never read that index; they are its oracles.
+agent, stored once as a table ``state -> cell`` per agent: ``cell``, the
+breadth-first walks, the union-find meet and ``knows`` all read it.  The
+link of an event through an agent's partition collects every state sharing
+a cell with the event; iterating the group link induces a breadth-first
+metric whose connected components are the carrier's reachability classes.
+Both walks are linear in the states they reach: ``link_iter`` takes the
+n-fold link as one multi-source frontier walk that reads each reached
+state's cells once, and ``distances_from`` reads the cell tables directly.
+On top of that sit the knowledge operators and two common-knowledge tests:
+the classical one (the closure of the true state lies inside the event) and
+the subjective one (nothing outside the event is at finite link distance
+from the true state).  On a finite carrier both reduce to one question,
+answered from a component index that each model builds once by union-find
+and caches: does the true state's block of the meet lie inside the event?
+The breadth-first ``closure``, ``components`` and ``distances_from`` never
+read that index; they are its oracles.
 
 Infinite carriers can stand in for an ``AumannModel`` wherever closed forms
 exist: such a model must expose ``agents``, ``cell(agent, state)`` and
@@ -79,28 +81,22 @@ class AumannModel:
             raise ValueError("a model needs at least one agent")
         if len(set(self._agents)) != len(self._agents):
             raise ValueError("agent names must be distinct")
+        # One table per agent, state -> cell, filled cell by cell in input order.
         self._cells: dict = {}
-        self._partitions: dict = {}
-        carrier: Optional[set] = None
         for agent in self._agents:
             if agent not in partitions:
                 raise ValueError(f"missing partition for agent {agent!r}")
-            cells = tuple(frozenset(cell) for cell in partitions[agent])
-            covered: set = set()
-            for cell in cells:
+            table = self._cells[agent] = {}
+            for cell in map(frozenset, partitions[agent]):
                 if not cell:
                     raise ValueError(f"agent {agent!r} has an empty cell")
                 for state in cell:
-                    if state in covered:
+                    if state in table:
                         raise ValueError(f"state {state!r} lies in two cells of agent {agent!r}")
-                    covered.add(state)
-                    self._cells[agent, state] = cell
-            if carrier is None:
-                carrier = covered
-            elif covered != carrier:
+                    table[state] = cell
+            if table.keys() != self._cells[self._agents[0]].keys():
                 raise ValueError(f"agent {agent!r} partitions a different carrier")
-            self._partitions[agent] = cells
-        self._states = tuple(sorted(carrier, key=str))
+        self._states = tuple(sorted(self._cells[self._agents[0]], key=str))
         self._index: Optional[tuple] = None
 
     @property
@@ -112,14 +108,15 @@ class AumannModel:
         return self._states
 
     def partition(self, agent: Agent) -> tuple:
+        """The agent's cells, in the order the constructor was given them."""
         try:
-            return self._partitions[agent]
+            return tuple(dict.fromkeys(self._cells[agent].values()))
         except KeyError:
             raise ValueError(f"unknown agent {agent!r}") from None
 
     def cell(self, agent: Agent, state: State) -> frozenset:
         try:
-            return self._cells[agent, state]
+            return self._cells[agent][state]
         except KeyError:
             raise ValueError(f"unknown agent/state pair ({agent!r}, {state!r})") from None
 
@@ -128,11 +125,11 @@ class AumannModel:
 
         Unreachable states are simply absent.  Each state is assigned on its
         first visit, so layer indices are unique by construction.  The walk
-        reads the cell table directly rather than through :meth:`cell`,
+        reads the cell tables directly rather than through :meth:`cell`,
         whose call per read slowed the breadth-first checks measurably.
         """
         self.cell(self._agents[0], origin)  # validates the state
-        agents, cells = self._agents, self._cells
+        tables = tuple(self._cells.values())
         dist = {origin: 0}
         frontier = [origin]
         layer = 0
@@ -140,8 +137,8 @@ class AumannModel:
             layer += 1
             next_frontier = []
             for s in frontier:
-                for agent in agents:
-                    for t in cells[agent, s]:
+                for table in tables:
+                    for t in table[s]:
                         if t not in dist:
                             dist[t] = layer
                             next_frontier.append(t)
@@ -187,12 +184,13 @@ class AumannModel:
                     parent[x] = x = parent[parent[x]]  # path halving
                 return x
 
-            for cells in self._partitions.values():
-                for cell in cells:
-                    members = iter(cell)
-                    root = find(next(members))
-                    for s in members:
+            for table in self._cells.values():
+                current = None  # a cell's states follow each other in its table
+                for s, cell in table.items():
+                    if cell is current:
                         parent[find(s)] = root
+                    else:
+                        current, root = cell, find(s)
             groups: dict = {}
             for s in self._states:
                 groups.setdefault(find(s), []).append(s)
@@ -309,9 +307,8 @@ def knows(model: Any, agent: Agent, event: Any) -> frozenset:
     ev = _as_event(event)
     if not _finite_carrier(model):
         raise ValueError("knowledge sets need an enumerable carrier")
-    return frozenset(
-        s for s in model.states if all(ev.contains(t) for t in model.cell(agent, s))
-    )
+    members = _members(model, ev)
+    return frozenset(s for s in model.states if model.cell(agent, s) <= members)
 
 
 def knows_group(model: Any, event: Any) -> frozenset:
@@ -335,10 +332,12 @@ def _block_within(model: AumannModel, ev: Event, omega: State) -> bool:
 
 
 def ck_classical(model: Any, event: Any, omega: State) -> bool:
-    """Classical test: every state reachable from ``omega`` lies in the event."""
+    """Classical test: every state reachable from ``omega`` lies in the event;
+    complement witnesses, where given, are checked as in :func:`ck_subjective`."""
     ev = _as_event(event)
     if not _finite_carrier(model):
         raise ValueError("classical common knowledge needs an enumerable reachability closure")
+    _check_witnesses(model, ev)
     return _block_within(model, ev, omega)
 
 

@@ -1,5 +1,6 @@
 """The in-process CLI harness, the child-process environment, random model
-generators and event enumeration shared by the test suite."""
+generators, a reference search over raw partition lists and event
+enumeration shared by the test suite."""
 
 import contextlib
 import io
@@ -70,14 +71,20 @@ def random_partition(rng, states):
     return cells
 
 
+def random_partitions(rng, max_states=6, agent_counts=(2, 3)):
+    """Raw partition lists ``{agent: [[state, ...], ...]}`` over 2..max_states states."""
+    n = rng.randint(2, max_states)
+    states = [f"s{i}" for i in range(n)]
+    agents = [f"g{j}" for j in range(rng.choice(agent_counts))]
+    return {a: random_partition(rng, states) for a in agents}
+
+
 def random_model(rng, max_states=6, agent_counts=(2, 3)):
     # Imported here for the same reason as in run_cli.
     from galaxyck.epistemic import AumannModel
 
-    n = rng.randint(2, max_states)
-    states = [f"s{i}" for i in range(n)]
-    agents = [f"g{j}" for j in range(rng.choice(agent_counts))]
-    return AumannModel(agents, {a: random_partition(rng, states) for a in agents})
+    partitions = random_partitions(rng, max_states, agent_counts)
+    return AumannModel(list(partitions), partitions)
 
 
 def random_connected_model(rng, max_states=8, agent_counts=(2, 3)):
@@ -85,6 +92,37 @@ def random_connected_model(rng, max_states=8, agent_counts=(2, 3)):
         model = random_model(rng, max_states, agent_counts)
         if len(model.components()) == 1:
             return model
+
+
+def raw_cell(partitions, agent, state):
+    """The cell holding ``state``, found by scanning the agent's raw list."""
+    return next(frozenset(cell) for cell in partitions[agent] if state in cell)
+
+
+def raw_distances(partitions, origin):
+    """Breadth-first link distances over the raw partition lists.
+
+    It scans the lists for every cell it reads and never builds an
+    ``AumannModel``, so it shares no table with the model's kernels.
+    """
+    dist = {origin: 0}
+    frontier = [origin]
+    while frontier:
+        next_frontier = []
+        for s in frontier:
+            for agent in partitions:
+                for t in raw_cell(partitions, agent, s):
+                    if t not in dist:
+                        dist[t] = dist[s] + 1
+                        next_frontier.append(t)
+        frontier = next_frontier
+    return dist
+
+
+def raw_components(partitions):
+    """The reachability components of the raw partition lists, as a set."""
+    states = {s for cells in partitions.values() for cell in cells for s in cell}
+    return {frozenset(raw_distances(partitions, s)) for s in states}
 
 
 def all_events(states):

@@ -3,7 +3,7 @@ import random
 import pytest
 
 import helpers
-from galaxyck.emailgame import STATE_A, EmailGameModel, event_b, state_b
+from galaxyck.emailgame import STATE_A, EmailGameModel, event_b, state_b, truncated_model
 from galaxyck.epistemic import (
     AumannModel,
     Event,
@@ -191,6 +191,19 @@ def test_knows_basics():
     assert knows_group(model, carrier) == carrier
 
 
+def test_knows_reads_the_event_once_per_state():
+    model = truncated_model(3)
+    asked = []
+
+    def is_b(s):
+        asked.append(s)
+        return s.tag == "b"
+
+    b_states = frozenset(s for s in model.states if s.tag == "b")
+    assert knows(model, 1, Event.from_predicate(is_b)) == b_states
+    assert len(asked) <= len(model.states) == 7
+
+
 def test_knows_duality_with_link():
     rng = random.Random(17)
     for _ in range(30):
@@ -307,17 +320,25 @@ def test_ck_subjective_with_complement_witnesses():
 
 
 def test_ck_subjective_rejects_bad_complement_witnesses():
+    # Both tests validate the witnesses, so neither answers a bad event.
     model = mail_chain_model()
     inside = Event.from_predicate(lambda s: s[0] == "b", complement_witnesses=(A, ("b", 2, 2)))
-    with pytest.raises(ValueError, match="inside the event"):
-        ck_subjective(model, inside, ("b", 3, 3))
     # Missing the only outside state would make B look like common knowledge.
     short = Event.from_predicate(lambda s: s[0] == "b", complement_witnesses=())
-    with pytest.raises(ValueError, match="exactly the event's complement"):
-        ck_subjective(model, short, ("b", 3, 3))
     stray = Event.from_predicate(lambda s: s[0] == "b", complement_witnesses=(A, ("c", 0, 0)))
-    with pytest.raises(ValueError, match="exactly the event's complement"):
-        ck_subjective(model, stray, ("b", 3, 3))
+    for ck in (ck_subjective, ck_classical):
+        with pytest.raises(ValueError, match="inside the event"):
+            ck(model, inside, ("b", 3, 3))
+        with pytest.raises(ValueError, match="exactly the event's complement"):
+            ck(model, short, ("b", 3, 3))
+        with pytest.raises(ValueError, match="exactly the event's complement"):
+            ck(model, stray, ("b", 3, 3))
+        with pytest.raises(ValueError, match="inside the event"):
+            ck(
+                truncated_model(3),
+                Event.from_predicate(lambda s: s.tag == "b", (STATE_A, state_b(2))),
+                state_b(3),
+            )
     # A region checks its event when it is built, before any query.
     for bad, message in ((inside, "inside the event"), (short, "exactly"), (stray, "exactly")):
         with pytest.raises(ValueError, match=message):
@@ -400,6 +421,56 @@ def _several_component_models(rng, count):
         if len(model.components()) > 1:
             count -= 1
             yield model
+
+
+def _truncation_partitions(T):
+    """The cells of the T-truncation written out literally: agent 1 pairs
+    (b,t,t-1) with (b,t,t), agent 2 pairs (b,t,t) with (b,t+1,t)."""
+    p1 = [[STATE_A]] + [[state_b(t, 1), state_b(t)] for t in range(1, T + 1)]
+    p2 = [[STATE_A, state_b(1, 1)]] + [[state_b(t), state_b(t + 1, 1)] for t in range(1, T)]
+    return {1: p1, 2: p2 + [[state_b(T)]]}
+
+
+def _assert_model_matches_raw_partitions(model, partitions):
+    """Every cell read of the model equals the raw lists it was built from."""
+    assert model.agents == tuple(partitions)
+    assert set(model.states) == {s for cell in next(iter(partitions.values())) for s in cell}
+    for agent, cells in partitions.items():
+        assert model.partition(agent) == tuple(frozenset(cell) for cell in cells)
+        for s in model.states:
+            assert model.cell(agent, s) == helpers.raw_cell(partitions, agent, s)
+    for s in model.states:
+        assert model.distances_from(s) == helpers.raw_distances(partitions, s)
+    components = helpers.raw_components(partitions)
+    assert set(model.components()) == components
+    assert set(model.component_index()[0]) == components
+
+
+def test_cell_table_matches_a_search_over_the_raw_partitions():
+    # The BFS and the union-find read the same cell table, so one bad table
+    # would fool meet_equals_galaxies; the raw lists are the reference.
+    rng = random.Random(67)
+    several = 0
+    for _ in range(60):
+        partitions = helpers.random_partitions(rng, max_states=8, agent_counts=(1, 2, 3))
+        model = AumannModel(list(partitions), partitions)
+        _assert_model_matches_raw_partitions(model, partitions)
+        several += len(helpers.raw_components(partitions)) > 1
+    assert several >= 10
+    for T in range(1, 31):
+        _assert_model_matches_raw_partitions(truncated_model(T), _truncation_partitions(T))
+    doc = {
+        "states": ["w1", "w2", "w3", "w4", "w5"],
+        "agents": [
+            {"name": "ann", "partition": [["w3", "w1"], ["w2"], ["w4"], ["w5"]]},
+            {"name": "bob", "partition": [["w1"], ["w2", "w3"], ["w5", "w4"]]},
+            {"name": "cy", "partition": [["w5"], ["w4"], ["w1", "w2"], ["w3"]]},
+        ],
+    }
+    model, _ = model_from_dict(doc)
+    _assert_model_matches_raw_partitions(
+        model, {spec["name"]: spec["partition"] for spec in doc["agents"]}
+    )
 
 
 def test_component_index_verdicts_match_bfs_closures():
