@@ -23,7 +23,7 @@ from .emailgame import (
 )
 from .epistemic import ModelFormatError, ck_classical, ck_subjective, meet, model_from_dict
 from .hypernat import finite, parse_hypernat
-from .reports import CheckReport, jsonable
+from .reports import CheckReport, jsonable, render_json
 from .sorites import chain_relation
 
 EXIT_PASS, EXIT_FAIL, EXIT_USAGE, EXIT_INTERNAL = 0, 1, 2, 3
@@ -101,9 +101,8 @@ def _load_json(path: str):
 
 
 def cmd_model_check(args) -> tuple:
-    payload = _load_json(args.file)
-    try:
-        model, events = model_from_dict(payload)
+    try:  # the parsed document is freed once the model is built from it
+        model, events = model_from_dict(_load_json(args.file))
     except ModelFormatError as exc:
         raise UsageError(f"{args.file}: {exc}") from None
     if args.event not in events:
@@ -290,7 +289,7 @@ def _render(report: CheckReport, extras: Optional[dict], fmt: str) -> str:
         payload = report.to_dict()
         if extras:
             payload.update(jsonable(extras))
-        return json.dumps(payload, indent=2)
+        return render_json(payload)
     lines = [report.to_text()]
     if extras and "meet" in extras:
         lines.append("meet:")

@@ -116,7 +116,10 @@ class EmailGameState:
         return self.t - _ONE if self.delta else self.t
 
     def __str__(self) -> str:
-        return f"({self.tag},{self.t},{self.t_prime})"
+        t = self.t
+        if t.omega_coeff == 0:  # finite: the label straight from the offset
+            return f"({self.tag},{t.offset},{t.offset - self.delta})"
+        return f"({self.tag},{t},{self.t_prime})"
 
 
 STATE_A = EmailGameState("a", _ZERO, 0)

@@ -7,31 +7,102 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any
 
-__all__ = ["CaseResult", "CheckReport", "jsonable"]
+__all__ = ["CaseResult", "CheckReport", "jsonable", "render_json"]
+
+# A string's JSON text, escaped to ASCII: the stdlib's C routine, which
+# rejects anything but a str with TypeError.
+_encode_str = json.encoder.encode_basestring_ascii
 
 # The sort key of set members: their canonical JSON text.  One encoder for
 # every member; ``json.dumps(..., sort_keys=True)`` builds a new one per call.
+# For a string it is _encode_str, which the all-string sets use directly.
 _set_member_key = json.JSONEncoder(sort_keys=True).encode
+
+_int_text = int.__repr__
+_INF = float("inf")
 
 
 def jsonable(value: Any) -> Any:
     """Render a payload as JSON-native data with a stable ordering.
 
-    Fractions become ``"num/den"`` strings, sets become sorted lists, and any
-    other non-native object falls back to ``str``.
+    Fractions become ``"num/den"`` strings, sets become lists sorted by the
+    JSON text of their members, and any other non-native object falls back
+    to ``str``.
     """
-    if value is None or isinstance(value, (bool, int, float, str)):
+    if value is None or isinstance(value, (str, int, float)):  # bool is an int
         return value
-    if isinstance(value, Fraction):
-        return f"{value.numerator}/{value.denominator}"
     if isinstance(value, dict):
         return {str(k): jsonable(v) for k, v in value.items()}
     if isinstance(value, (set, frozenset)):
         rendered = [jsonable(v) for v in value]
-        return sorted(rendered, key=_set_member_key)
+        try:
+            return sorted(rendered, key=_encode_str)
+        except TypeError:  # a member that is not a string
+            return sorted(rendered, key=_set_member_key)
     if isinstance(value, (list, tuple)):
         return [jsonable(v) for v in value]
+    # Fraction last: it derives from an abstract base class, so isinstance
+    # against it costs more than the tests above for every other type.
+    if isinstance(value, Fraction):
+        return f"{value.numerator}/{value.denominator}"
     return str(value)
+
+
+def render_json(value: Any) -> str:
+    """The text of ``json.dumps(value, indent=2)`` for JSON-native data.
+
+    ``value`` is what :func:`jsonable` returns: None, bools, ints, floats,
+    strings, lists, and dicts with string keys.  Strings are escaped to
+    ASCII.  The stdlib takes its pure-Python path whenever ``indent`` is
+    set; this encoder escapes with the C routine and joins a list of only
+    strings or only ints in one ``str.join``.
+    """
+    return _render(value, "\n")
+
+
+def _render(value: Any, newline: str) -> str:
+    """``value`` as JSON text whose nested lines start with ``newline``
+    plus two more spaces."""
+    if isinstance(value, str):
+        return _encode_str(value)
+    inner = newline + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        # Most values are strings: they are encoded without a call.
+        items = [
+            f"{_encode_str(k)}: {_encode_str(v) if type(v) is str else _render(v, inner)}"
+            for k, v in value.items()
+        ]
+        return f"{{{inner}{(',' + inner).join(items)}{newline}}}"
+    if isinstance(value, list):
+        if not value:
+            return "[]"
+        kinds = set(map(type, value))
+        if kinds == {str}:
+            items = map(_encode_str, value)
+        elif kinds == {int}:  # not bool, whose repr is not its JSON text
+            items = map(_int_text, value)
+        else:
+            items = [_render(item, inner) for item in value]
+        return f"[{inner}{(',' + inner).join(items)}{newline}]"
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return _int_text(value)
+    if isinstance(value, float):
+        if value != value:
+            return "NaN"
+        if value == _INF:
+            return "Infinity"
+        if value == -_INF:
+            return "-Infinity"
+        return float.__repr__(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 @dataclass
@@ -78,7 +149,7 @@ class CheckReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
+        return render_json(self.to_dict())
 
     def to_text(self) -> str:
         lines = [f"check: {self.check}"]

@@ -166,6 +166,18 @@ def test_separately_built_states_compare_by_fields(x, y):
         assert hash(x) == hash(y)
 
 
+@given(
+    st.one_of(
+        st.integers(1, 2**80).map(finite),
+        st.tuples(st.integers(1, 2**70), st.integers(-(2**70), 2**70)).map(lambda ck: huge(*ck)),
+    ),
+    st.integers(0, 1),
+)
+def test_state_label_is_tag_t_and_t_prime(t, delta):
+    for s in (state_b(t, delta), STATE_A):
+        assert str(s) == f"({s.tag},{s.t},{s.t_prime})"
+
+
 @given(states)
 def test_state_copy_and_pickle_round_trip(s):
     for clone in (copy.deepcopy(s), pickle.loads(pickle.dumps(s))):

@@ -25,6 +25,15 @@ def test_golden_report(name):
     assert result.stdout.encode() == (GOLDEN / f"{name}.out").read_bytes()
 
 
+@pytest.mark.parametrize(
+    "name", sorted(n for n, c in CASES.items() if c["exit"] != 2 and "--format" not in c["argv"])
+)
+def test_json_golden_is_json_dumps_indent_2(name):
+    # The stdlib encoder is the oracle of the report encoder.
+    text = (GOLDEN / f"{name}.out").read_text(encoding="utf-8")
+    assert text == json.dumps(json.loads(text), indent=2) + "\n"
+
+
 def record() -> None:
     for name, case in CASES.items():
         result = run_cli(case["argv"], cwd=GOLDEN)

@@ -1,7 +1,44 @@
 import json
+import math
 from fractions import Fraction
 
-from galaxyck.reports import jsonable
+import hypothesis.strategies as st
+import pytest
+from hypothesis import given
+
+from galaxyck import cli
+from galaxyck.emailgame import (
+    CutoffStrategy,
+    PayoffParams,
+    best_response_check,
+    check_classical_impossibility,
+    check_monotone_ck,
+    truncated_model,
+)
+from galaxyck.epistemic import knows_group, link_iter, meet_equals_galaxies
+from galaxyck.hypernat import finite, huge
+from galaxyck.reports import CheckReport, jsonable, render_json
+from galaxyck.sorites import GeneratingSequence, chain_relation
+from helpers import GOLDEN
+
+# Strings that need escaping: a quote, a backslash, control characters, a
+# non-ASCII BMP character, a non-BMP one (a surrogate pair in JSON) and
+# lone surrogates.
+ESCAPES = ['"', "\\", "\t", "\n", "\x07", "\x7f", "é", "\U0001F600", "\ud800", "\udfff"]
+text = st.text(st.characters(exclude_categories=()) | st.sampled_from(ESCAPES), max_size=8)
+scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(2**64, 2**200) | st.integers(-(2**200), -(2**64)),
+    st.floats() | st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf]),
+    text,
+)
+json_native = st.recursive(
+    scalars | st.lists(text) | st.lists(st.integers()) | st.lists(st.booleans() | st.integers()),
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(text, children, max_size=4),
+    max_leaves=30,
+)
 
 
 class HashableDict(dict):
@@ -39,3 +76,56 @@ def test_set_members_sort_by_their_canonical_json_text():
     for value in (strings, mixed, {frozenset({"y", "x"}), frozenset({"x y"}), ("é",), ("\\",)}):
         members = [jsonable(member) for member in value]
         assert jsonable(value) == sorted(members, key=lambda m: json.dumps(m, sort_keys=True))
+
+
+@given(st.frozensets(text, max_size=8))
+def test_string_sets_sort_by_their_json_text(strings):
+    assert jsonable(strings) == sorted(strings, key=lambda m: json.dumps(m, sort_keys=True))
+
+
+@given(json_native)
+def test_render_json_is_json_dumps_indent_2(value):
+    assert render_json(value) == json.dumps(value, indent=2)
+
+
+def test_render_json_rejects_what_jsonable_never_returns():
+    for value in (Fraction(1, 2), {1: "int key"}, ("a", "tuple")):
+        with pytest.raises(TypeError):
+            render_json(value)
+
+
+def _cli_report(argv):
+    args = cli.build_parser().parse_args(argv)
+    report, extras = args.handler(args)
+    return report
+
+
+def _reports():
+    """A report of every check kind, with sets, Fractions and huge counts."""
+    model = truncated_model(6)
+    event = frozenset(s for s in model.states if s.tag == "b")
+    sweep = CheckReport("knows-sweep", {"windows": [(1, 3)]})
+    sweep.add({"windows": [(1, 3)]}, "state set", knows_group(model, event), True)
+    sweep.add({"n": 2}, "state set", link_iter(model, event, 2), True)
+    unsound = GeneratingSequence(lambda n: finite(n + 1))
+    points = [finite(1), finite(5), huge(1, -3), huge(1, 4), huge(2, 0)]
+    cutoff = CutoffStrategy.play_a_while_finite()
+    params = PayoffParams(2, 3, Fraction(1, 2), Fraction(1, 10))
+    model_file = str(GOLDEN / "model-escapes.json")
+    return [
+        check_classical_impossibility(4),
+        check_monotone_ck([finite(0), finite(3), huge(1, 0)]),
+        best_response_check((cutoff, cutoff), params, [finite(0), finite(2), huge(1, 0)]),
+        meet_equals_galaxies(model),
+        chain_relation().verify_generating_axioms(points, 4),
+        chain_relation(unsound).verify_generating_axioms(points, 4),
+        sweep,
+        _cli_report(["model", "check", "--file", model_file, "--event", "rest", "--state", "plain"]),
+        _cli_report(["emailgame", "ast-ck", "--t", "w+0"]),
+        _cli_report(["sorites", "demo"]),
+    ]
+
+
+@pytest.mark.parametrize("report", _reports(), ids=lambda r: r.check)
+def test_to_json_is_json_dumps_of_to_dict(report):
+    assert report.to_json() == json.dumps(report.to_dict(), indent=2)
