@@ -243,25 +243,27 @@ def _finite_carrier(model: Any) -> bool:
     return getattr(model, "states", None) is not None
 
 
-def _members(model: Any, event: Event) -> frozenset:
-    if event.members is not None:
-        return event.members
+def _members(model: Any, event: Any) -> frozenset:
+    """A set's or an Event's members; the one place a predicate is read."""
+    ev = _as_event(event)
+    if ev.members is not None:
+        return ev.members
     if _finite_carrier(model):
-        return frozenset(s for s in model.states if event.contains(s))
+        return frozenset(filter(ev.contains, model.states))
     raise ValueError("event needs an explicit member set on an infinite carrier")
 
 
 def link_agent(model: Any, agent: Agent, event: Any) -> frozenset:
     """Union of the agent's cells meeting the event."""
     out: set = set()
-    for s in _members(model, _as_event(event)):
+    for s in _members(model, event):
         out |= model.cell(agent, s)
     return frozenset(out)
 
 
 def link_group(model: Any, event: Any) -> frozenset:
     """Union of every agent's link; always contains the event itself."""
-    members = _members(model, _as_event(event))
+    members = _members(model, event)
     return frozenset().union(*(link_agent(model, agent, members) for agent in model.agents))
 
 
@@ -280,7 +282,7 @@ def link_iter(model: Any, event: Any, n: Any) -> frozenset:
         n = int(n)
     if n < 0:
         raise ValueError("link iterations are nonnegative")
-    reached = set(_members(model, _as_event(event)))
+    reached = set(_members(model, event))
     frontier = list(reached)
     agents = model.agents
     for _ in range(n):
@@ -304,41 +306,38 @@ def is_reachable(model: Any, x: State, y: State) -> bool:
 
 def knows(model: Any, agent: Agent, event: Any) -> frozenset:
     """States where the agent's whole cell lies inside the event."""
-    ev = _as_event(event)
     if not _finite_carrier(model):
         raise ValueError("knowledge sets need an enumerable carrier")
-    members = _members(model, ev)
+    members = _members(model, event)
     return frozenset(s for s in model.states if model.cell(agent, s) <= members)
 
 
 def knows_group(model: Any, event: Any) -> frozenset:
-    """States where every agent knows the event."""
+    """States where every agent knows the event; a predicate is read once."""
+    if _finite_carrier(model):  # else knows raises before reading the event
+        event = _members(model, event)
     return frozenset.intersection(*(knows(model, agent, event) for agent in model.agents))
 
 
-def _block_within(model: AumannModel, ev: Event, omega: State) -> bool:
-    """Does the block of the meet holding ``omega`` lie in the event?
-
-    On a finite carrier every reachable state is at finite link distance,
-    so this is both CK tests at once.  The block comes from the model's
-    cached component index, so a query costs one subset test.
-    """
+def _ck_finite(model: AumannModel, event: Any, omega: State) -> bool:
+    """Both CK tests on a finite carrier, where every reachable state is at
+    finite link distance: does the block of the meet holding ``omega``, read
+    from the cached component index, lie in the event's member set?"""
+    ev = _as_event(event)
+    members = _members(model, ev)
+    _check_witnesses(model, ev, members)
     block = model.component_index()[1].get(omega)
     if block is None:
         model.cell(model.agents[0], omega)  # raises: omega is not a state of the model
-    if ev.members is not None:
-        return block <= ev.members
-    return all(ev.contains(t) for t in block)
+    return block <= members
 
 
 def ck_classical(model: Any, event: Any, omega: State) -> bool:
     """Classical test: every state reachable from ``omega`` lies in the event;
     complement witnesses, where given, are checked as in :func:`ck_subjective`."""
-    ev = _as_event(event)
     if not _finite_carrier(model):
         raise ValueError("classical common knowledge needs an enumerable reachability closure")
-    _check_witnesses(model, ev)
-    return _block_within(model, ev, omega)
+    return _ck_finite(model, event, omega)
 
 
 def reachability_relation(model: Any) -> SoritesRelation:
@@ -346,12 +345,12 @@ def reachability_relation(model: Any) -> SoritesRelation:
     return SoritesRelation(dist=model.metric)
 
 
-def _check_witnesses(model: Any, ev: Event) -> None:
+def _check_witnesses(model: Any, ev: Event, members: Optional[frozenset] = None) -> None:
     """Witnesses, where given, must lie outside the event and, on a finite
-    carrier, be exactly its complement.  An infinite carrier needs them."""
+    carrier, be the complement of its ``members``; an infinite one needs them."""
     witnesses = ev.complement_witnesses
     if witnesses is None:
-        if not _finite_carrier(model):
+        if members is None:
             raise ValueError(
                 "subjective common knowledge on an infinite carrier needs complement witnesses"
             )
@@ -359,35 +358,37 @@ def _check_witnesses(model: Any, ev: Event) -> None:
     for x in witnesses:
         if ev.contains(x):
             raise ValueError(f"complement witness {x!r} lies inside the event")
-    if _finite_carrier(model):
-        complement = {s for s in model.states if not ev.contains(s)}
-        if set(witnesses) != complement:
-            raise ValueError("complement witnesses must list exactly the event's complement")
+    if members is not None and set(witnesses) != model.component_index()[1].keys() - members:
+        raise ValueError("complement witnesses must list exactly the event's complement")
 
 
 def ck_subjective(model: Any, event: Any, omega: State) -> bool:
     """Subjective test: nothing outside the event is at finite link distance.
 
-    Equivalently, the galaxy of ``omega`` is contained in the event.  On a
-    finite carrier the galaxy is the block of the meet holding ``omega``,
-    read from the model's component index.  On an infinite carrier the
-    complement is searched, never the galaxy itself, so the event must list
-    its complement witnesses.  Witnesses, where given, must lie outside the
-    event and, on a finite carrier, be exactly its complement.
+    Equivalently, the galaxy of ``omega`` lies in the event; on a finite
+    carrier that galaxy is ``omega``'s block of the meet, so this is the
+    classical test.  An infinite carrier searches the complement, so the
+    event must list its complement witnesses.  Witnesses, where given, must
+    lie outside the event and, on a finite carrier, be exactly its complement.
     """
+    if _finite_carrier(model):
+        return _ck_finite(model, event, omega)
     return ck_region(model, event).contains(omega)
 
 
 def ck_region(model: Any, event: Any) -> Event:
     """The event of states at which ``event`` is subjectively common knowledge.
 
-    The event's witnesses are checked once, here, so a membership query
-    costs only the test of :func:`ck_subjective`.
+    The event is read and its witnesses checked once, here.  On a finite
+    carrier the region is the member set of the meet blocks inside the
+    event; on an infinite one a query searches the complement witnesses.
     """
     ev = _as_event(event)
-    _check_witnesses(model, ev)
     if _finite_carrier(model):
-        return Event.from_predicate(lambda omega: _block_within(model, ev, omega))
+        members = _members(model, ev)
+        _check_witnesses(model, ev, members)
+        return Event.from_states(s for b in model.component_index()[0] if b <= members for s in b)
+    _check_witnesses(model, ev)
     rel = reachability_relation(model)
     return Event.from_predicate(
         lambda omega: not any(rel.related(x, omega) for x in ev.complement_witnesses)

@@ -13,10 +13,10 @@ __all__ = ["CaseResult", "CheckReport", "jsonable", "render_json"]
 # rejects anything but a str with TypeError.
 _encode_str = json.encoder.encode_basestring_ascii
 
-# The sort key of set members: their canonical JSON text.  One encoder for
-# every member; ``json.dumps(..., sort_keys=True)`` builds a new one per call.
-# For a string it is _encode_str, which the all-string sets use directly.
-_set_member_key = json.JSONEncoder(sort_keys=True).encode
+# Canonical JSON text, the sort key of set members and the values of a text
+# report: one encoder, where ``json.dumps(..., sort_keys=True)`` builds one per
+# call.  For a string it is _encode_str, which all-string sets use directly.
+_canonical_json = json.JSONEncoder(sort_keys=True).encode
 
 _int_text = int.__repr__
 _INF = float("inf")
@@ -38,7 +38,7 @@ def jsonable(value: Any) -> Any:
         try:
             return sorted(rendered, key=_encode_str)
         except TypeError:  # a member that is not a string
-            return sorted(rendered, key=_set_member_key)
+            return sorted(rendered, key=_canonical_json)
     if isinstance(value, (list, tuple)):
         return [jsonable(v) for v in value]
     # Fraction last: it derives from an abstract base class, so isinstance
@@ -154,11 +154,10 @@ class CheckReport:
     def to_text(self) -> str:
         lines = [f"check: {self.check}"]
         for key, value in self.params.items():
-            lines.append(f"  {key} = {json.dumps(jsonable(value), sort_keys=True)}")
+            lines.append(f"  {key} = {_canonical_json(jsonable(value))}")
         for case in self.cases:
             mark = "PASS" if case.passed else "FAIL"
-            left = json.dumps(jsonable(case.input), sort_keys=True)
-            right = json.dumps(jsonable(case.actual), sort_keys=True)
+            left, right = (_canonical_json(jsonable(v)) for v in (case.input, case.actual))
             lines.append(f"[{mark}] {left} -> {right}")
         lines.append(f"result: {'PASS' if self.passed else 'FAIL'}")
         return "\n".join(lines)

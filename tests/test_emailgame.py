@@ -116,6 +116,49 @@ def test_email_metric_matches_bfs_on_truncation():
             assert email_metric(from_tuple(x), from_tuple(y)) == finite(layers[y])
 
 
+# phi_N substitutes the int N for the huge anchor w: c*w+k -> c*N+k.  It is
+# additive, and on counts whose offsets lie in [-K, K] it keeps their order
+# once N exceeds twice the largest offset difference, 4K.  So the closed-form
+# metric and cells at huge counts must map onto a finite truncation's.
+TRANSFER_K = 8
+
+
+def phi(n, N):
+    return n.omega_coeff * N + n.offset
+
+
+def phi_state(s, N):
+    return s if s.tag == "a" else state_b(phi(s.t, N), s.delta)
+
+
+transfer_states = st.one_of(
+    st.just(STATE_A),
+    st.builds(state_b, st.integers(1, TRANSFER_K), st.integers(0, 1)),
+    st.builds(
+        lambda c, k, delta: state_b(huge(c, k), delta),
+        st.integers(1, 2),
+        st.integers(-TRANSFER_K, TRANSFER_K),
+        st.integers(0, 1),
+    ),
+)
+
+
+@given(
+    st.lists(transfer_states, min_size=1, max_size=12, unique=True),
+    st.integers(4 * TRANSFER_K + 1, 200),
+)
+def test_huge_tier_maps_onto_a_truncation(states, N):
+    T = 2 * N + TRANSFER_K + 1  # above every mapped count, so no cell is clipped
+    model = truncated_model(T)
+    for x in states:
+        dist = model.distances_from(phi_state(x, N))
+        for y in states:
+            assert phi(email_metric(x, y), N) == dist[phi_state(y, N)]
+        for agent in model.agents:
+            mapped = {phi_state(s, N) for s in cell(agent, x)}
+            assert mapped == model.cell(agent, phi_state(x, N))
+
+
 def test_truncated_model_matches_display():
     T = 5
     model = truncated_model(T)

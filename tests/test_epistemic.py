@@ -202,6 +202,11 @@ def test_knows_reads_the_event_once_per_state():
     b_states = frozenset(s for s in model.states if s.tag == "b")
     assert knows(model, 1, Event.from_predicate(is_b)) == b_states
     assert len(asked) <= len(model.states) == 7
+    # The group reads the event once, not once per agent.
+    asked.clear()
+    expected = knows(model, 1, b_states) & knows(model, 2, b_states)
+    assert knows_group(model, Event.from_predicate(is_b)) == expected
+    assert len(asked) == len(model.states)
 
 
 def test_knows_duality_with_link():
@@ -288,7 +293,10 @@ def test_ck_unknown_state_raises():
 
 def test_finite_subjective_ck_never_searches(monkeypatch):
     # On a finite carrier every subjective verdict comes from the component
-    # index; no event, witnessed or not, may start a breadth-first search.
+    # index; no event, witnessed or not, may start a breadth-first search or
+    # build a region per query.
+    from galaxyck import epistemic
+
     rng = random.Random(59)
     cases = [
         (model, {s: model.closure(s) for s in model.states})
@@ -298,7 +306,11 @@ def test_finite_subjective_ck_never_searches(monkeypatch):
     def no_search(self, origin):
         raise AssertionError("finite-carrier CK ran a breadth-first search")
 
+    def no_region(model, event):
+        raise AssertionError("finite-carrier CK built a region")
+
     monkeypatch.setattr(AumannModel, "distances_from", no_search)
+    monkeypatch.setattr(epistemic, "ck_region", no_region)
     for model, closures in cases:
         for event in helpers.all_events(model.states):
             complement = tuple(s for s in model.states if s not in event)
@@ -374,6 +386,42 @@ def test_ck_region_membership():
             for omega in model.states:
                 galaxy = model.closure(omega)  # finite model: galaxy = component
                 assert region.contains(omega) == (galaxy <= event)
+
+
+def test_finite_ck_region_is_the_union_of_the_closures_inside_the_event():
+    rng = random.Random(61)
+    for model in _several_component_models(rng, 15):
+        closures = [model.closure(s) for s in model.states]
+        for event in helpers.all_events(model.states):
+            expected = frozenset().union(*(c for c in closures if c <= event))
+            complement = tuple(s for s in model.states if s not in event)
+            for ev in (
+                event,
+                Event.from_predicate(event.__contains__),
+                Event(event.__contains__, complement_witnesses=complement),
+            ):
+                region = ck_region(model, ev)
+                assert region.members == expected
+                # A union of meet blocks is self-evident: everyone knows it,
+                # and no link leaves it.
+                assert knows_group(model, region) == expected
+                assert link_iter(model, region, 2) == expected
+                assert not region.contains("not a state")
+
+
+def test_ck_region_sweep_reads_a_predicate_once_per_state():
+    model = truncated_model(100)
+    for predicate in (lambda s: True, lambda s: s.tag == "b"):
+        asked = []
+
+        def counting(s):
+            asked.append(s)
+            return predicate(s)
+
+        region = ck_region(model, Event.from_predicate(counting))
+        verdicts = [region.contains(omega) for omega in model.states]
+        assert verdicts == [predicate(STATE_A)] * len(model.states)
+        assert len(asked) == len(model.states) == 201
 
 
 def test_ck_region_trivial_events():

@@ -129,3 +129,17 @@ def _reports():
 @pytest.mark.parametrize("report", _reports(), ids=lambda r: r.check)
 def test_to_json_is_json_dumps_of_to_dict(report):
     assert report.to_json() == json.dumps(report.to_dict(), indent=2)
+
+
+@pytest.mark.parametrize("report", _reports(), ids=lambda r: r.check)
+def test_to_text_matches_json_dumps_sort_keys(report):
+    def canonical(value):
+        return json.dumps(jsonable(value), sort_keys=True)
+
+    lines = [f"check: {report.check}"]
+    lines += [f"  {key} = {canonical(value)}" for key, value in report.params.items()]
+    for case in report.cases:
+        mark = "PASS" if case.passed else "FAIL"
+        lines.append(f"[{mark}] {canonical(case.input)} -> {canonical(case.actual)}")
+    lines.append(f"result: {'PASS' if report.passed else 'FAIL'}")
+    assert report.to_text() == "\n".join(lines)
