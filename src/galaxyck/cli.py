@@ -272,7 +272,7 @@ def main(argv: Optional[list] = None) -> int:
     args = parser.parse_args(argv)
     try:
         report, extras = args.handler(args)
-        output = _render(report, extras, args.format)
+        print(_render(report, extras, args.format))
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -280,7 +280,6 @@ def main(argv: Optional[list] = None) -> int:
         detail = [type(exc).__name__] + str(exc).strip().splitlines()[:1]
         print(f"error: internal error: {': '.join(detail)}", file=sys.stderr)
         return EXIT_INTERNAL
-    print(output)
     return EXIT_PASS if report.passed else EXIT_FAIL
 
 
@@ -293,7 +292,12 @@ def _render(report: CheckReport, extras: Optional[dict], fmt: str) -> str:
     lines = [report.to_text()]
     if extras and "meet" in extras:
         lines.append("meet:")
-        lines.extend("  " + ", ".join(block) for block in extras["meet"])
+        # State names as given, but a strict stdout cannot encode a lone
+        # surrogate: such characters are written as backslash escapes.
+        lines.extend(
+            ("  " + ", ".join(block)).encode("utf-8", "backslashreplace").decode("utf-8")
+            for block in extras["meet"]
+        )
     return "\n".join(lines)
 
 

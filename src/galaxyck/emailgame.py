@@ -65,19 +65,18 @@ def _as_count(value: Union[int, HyperNat]) -> HyperNat:
     raise TypeError("message counts are HyperNat or int")
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class EmailGameState:
     """A state ``(tag, t, t')`` with ``t' = t - delta``; ``t`` may be huge.
 
-    The hash is computed once, at construction: states are hashed on every
-    cell and set lookup.  Equality tests identity first, so lookups of the
-    very object a model stores never compare fields.
+    States compare by ``(tag, t, delta)``.  The hash is computed once, at
+    construction: states are hashed on every cell and set lookup.
     """
 
     tag: str
     t: HyperNat
     delta: int
-    _hash: int = field(init=False, repr=False)
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.tag not in ("a", "b"):
@@ -94,18 +93,6 @@ class EmailGameState:
 
     def __hash__(self) -> int:
         return self._hash
-
-    def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        if not isinstance(other, EmailGameState):
-            return NotImplemented
-        return (
-            self._hash == other._hash
-            and self.delta == other.delta
-            and self.t == other.t
-            and self.tag == other.tag
-        )
 
     def __reduce__(self) -> tuple:
         # String hashes differ between processes: rebuild, never copy _hash.

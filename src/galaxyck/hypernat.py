@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import FrozenInstanceError
+from functools import total_ordering
 from typing import Optional, Union
 
 __all__ = ["HyperNat", "finite", "huge", "parse_hypernat", "gap"]
@@ -38,6 +39,7 @@ def _coerce(value: Union["HyperNat", int]) -> Optional["HyperNat"]:
     return None
 
 
+@total_ordering
 class HyperNat:
     """A natural number that is either finite or huge.
 
@@ -95,27 +97,6 @@ class HyperNat:
             return NotImplemented
         c, oc = self.omega_coeff, o.omega_coeff
         return c < oc or (c == oc and self.offset < o.offset)
-
-    def __le__(self, other: Union["HyperNat", int]) -> bool:
-        o = other if isinstance(other, HyperNat) else _coerce(other)
-        if o is None:
-            return NotImplemented
-        c, oc = self.omega_coeff, o.omega_coeff
-        return c < oc or (c == oc and self.offset <= o.offset)
-
-    def __gt__(self, other: Union["HyperNat", int]) -> bool:
-        o = other if isinstance(other, HyperNat) else _coerce(other)
-        if o is None:
-            return NotImplemented
-        c, oc = self.omega_coeff, o.omega_coeff
-        return c > oc or (c == oc and self.offset > o.offset)
-
-    def __ge__(self, other: Union["HyperNat", int]) -> bool:
-        o = other if isinstance(other, HyperNat) else _coerce(other)
-        if o is None:
-            return NotImplemented
-        c, oc = self.omega_coeff, o.omega_coeff
-        return c > oc or (c == oc and self.offset >= o.offset)
 
     def __add__(self, other: Union["HyperNat", int]) -> "HyperNat":
         o = other if isinstance(other, HyperNat) else _coerce(other)

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 
@@ -334,3 +336,16 @@ def test_internal_error_exits_three(monkeypatch, exc, line):
     assert result.code == cli.EXIT_INTERNAL == 3
     assert result.stdout == ""
     assert result.stderr == line + "\n"
+
+
+class UnwritableStdout(io.StringIO):
+    def write(self, text):
+        raise OSError("no space left")
+
+
+def test_failed_report_write_exits_three():
+    err = io.StringIO()
+    with contextlib.redirect_stdout(UnwritableStdout()), contextlib.redirect_stderr(err):
+        code = cli.main(["emailgame", "impossibility", "--T", "5"])
+    assert code == cli.EXIT_INTERNAL
+    assert err.getvalue() == "error: internal error: OSError: no space left\n"

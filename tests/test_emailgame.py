@@ -536,6 +536,61 @@ def test_equilibrium_holds_with_unit_payoffs():
     assert report.passed
 
 
+unit_fractions = st.integers(2, 12).flatmap(
+    lambda d: st.builds(Fraction, st.integers(1, d - 1), st.just(d))
+)
+positive_fractions = st.builds(Fraction, st.integers(1, 20), st.integers(1, 6))
+
+
+def threshold(m):
+    """A at own counts below m, B from m up."""
+    return CutoffStrategy(rule=lambda count: "A" if count < m else "B")
+
+
+@given(
+    st.builds(PayoffParams, positive_fractions, positive_fractions, unit_fractions, unit_fractions),
+    st.integers(0, 201),
+    st.integers(0, 201),
+    st.lists(st.integers(0, 200), min_size=1, max_size=4, unique=True),
+)
+def test_finite_cells_weigh_by_closed_forms(params, m1, m2, own_counts):
+    # Renormalised on a cell, the factor p*(1-eps)**(m-1)*eps common to its
+    # states cancels: a cell at own count k >= 1 weighs its two states, in
+    # chain order, as 1 : (1-eps), and agent 2's count-0 cell weighs (a,0,0)
+    # and (b,1,0) as (1-p) : p*eps.  The audit's expectations must be the
+    # sums over these weights.
+    p, eps = params.p, params.eps
+    strategies = (threshold(m1), threshold(m2))
+    report = best_response_check(strategies, params, own_counts)
+    for agent in (1, 2):
+        for k in own_counts:
+            cellstates = sorted(cell_by_own_count(agent, k), key=chain_position)
+            if k >= 1:
+                weights = [1, 1 - eps]
+            elif agent == 2:
+                weights = [1 - p, p * eps]
+            else:
+                weights = [1]
+            probs = [state_probability(s, params) for s in cellstates]
+            assert len(probs) == len(weights)
+            assert all(prob * weights[0] == probs[0] * w for prob, w in zip(probs, weights))
+
+            def expectation(action):
+                total = Fraction(0)
+                for s, w in zip(cellstates, weights):
+                    if agent == 1:
+                        pair = payoff_pair(s.tag, action, strategies[1].action(s.t_prime), params)
+                    else:
+                        pair = payoff_pair(s.tag, strategies[0].action(s.t), action, params)
+                    total += w * pair[agent - 1]
+                return total / sum(weights)
+
+            actual = case_for(report, agent, str(k)).actual
+            assert actual["expected_payoff"] == expectation(actual["prescribed"])
+            assert actual["deviation_payoff"] == expectation(actual["deviation"])
+            assert actual["prescribed"] == strategies[agent - 1].action(k)
+
+
 def test_equilibrium_guard_flags_probability_dependent_huge_cells():
     cutoff = CutoffStrategy.play_a_while_finite()
     flip = CutoffStrategy(rule=lambda c: "A" if c == huge(1, -1) else "B")

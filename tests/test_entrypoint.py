@@ -39,8 +39,10 @@ def run_module(name, **env):
             "usage-missing-subcommand",
             [b"galaxyck emailgame: error: the following arguments are required: subcommand"],
         ),
+        # A real stdout encodes strictly: a lone surrogate must reach it escaped.
+        (0, "model-lone-surrogate-text", []),
     ],
-    ids=["exit0", "exit1", "exit2"],
+    ids=["exit0", "exit1", "exit2", "unencodable-state-name"],
 )
 def test_exit_status_stdout_and_stderr(code, name, last_stderr_line):
     assert CASES[name]["exit"] == code

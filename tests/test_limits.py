@@ -1,0 +1,74 @@
+"""Worst-case inputs: each CLI input bound run at its limit.
+
+Each case runs ``python -m galaxyck`` in a child Python that first caps its
+own CPU time at 10 s and its address space at 1 GiB.  A case must end with
+its exit code (0, 1 or 2, never 3) and no traceback; a child that exceeds a
+cap is killed by a signal or fails with ``MemoryError``, and so fails here.
+"""
+
+import subprocess
+import sys
+
+import pytest
+
+from helpers import CASES, GOLDEN, subprocess_env
+
+# Sets the caps, then runs galaxyck as ``-m`` would, with the same argv.
+LIMITED_MAIN = (
+    "import resource, runpy\n"
+    "resource.setrlimit(resource.RLIMIT_CPU, (10, 10))\n"
+    "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+    "runpy.run_module('galaxyck', run_name='__main__', alter_sys=True)\n"
+)
+
+# The largest legal count texts: 1000 characters, the cap in galaxyck.cli.
+FINITE = "9" * 1000
+HUGE = "9" * 498 + "*w-" + "9" * 499
+DEEP = 100_000  # nesting of the JSON array given as a model file
+
+
+def run_limited(argv, cwd):
+    result = subprocess.run(
+        [sys.executable, "-c", LIMITED_MAIN, *argv],
+        capture_output=True,
+        cwd=cwd,
+        env=subprocess_env(),
+    )
+    assert b"Traceback" not in result.stderr, result.stderr.decode()
+    return result
+
+
+@pytest.mark.parametrize(
+    "code,argv",
+    [
+        pytest.param(
+            0,
+            ["sorites", "demo", "--alpha", FINITE, "--probes", f"{FINITE},{HUGE}"],
+            id="sorites-finite-alpha",
+        ),
+        pytest.param(
+            0, ["sorites", "demo", "--alpha", HUGE, "--probes", HUGE], id="sorites-huge-alpha"
+        ),
+        pytest.param(0, ["emailgame", "monotone", "--samples", f"{FINITE},{HUGE}"], id="monotone"),
+        pytest.param(1, ["emailgame", "ast-ck", "--t", FINITE], id="ast-ck-finite"),
+        pytest.param(0, ["emailgame", "ast-ck", "--t", HUGE], id="ast-ck-huge"),
+        pytest.param(
+            0, ["emailgame", "equilibrium", "--huge-samples", HUGE], id="equilibrium-huge"
+        ),
+    ],
+)
+def test_longest_counts(code, argv, tmp_path):
+    assert len(FINITE) == len(HUGE) == 1000
+    assert run_limited(argv, tmp_path).returncode == code
+
+
+def test_deepest_json_model_is_a_usage_error(tmp_path):
+    (tmp_path / "deep.json").write_text("[" * DEEP + "]" * DEEP, encoding="ascii")
+    argv = ["model", "check", "--file", "deep.json", "--event", "E", "--state", "x"]
+    result = run_limited(argv, tmp_path)
+    assert result.returncode == 2
+    assert result.stderr.decode().startswith("error: deep.json: invalid JSON:")
+
+
+def test_unencodable_state_name_in_text_mode():
+    assert run_limited(CASES["model-lone-surrogate-text"]["argv"], GOLDEN).returncode == 0

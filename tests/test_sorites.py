@@ -204,3 +204,40 @@ def test_transitive(i, j, k):
     rel = chain_relation()
     if rel.related(i, j) and rel.related(j, k):
         assert rel.related(i, k)
+
+
+# phi_N substitutes the int N for the huge anchor w: c*w+k -> c*N+k.  Once N
+# exceeds t(n_max+1) plus twice the largest |k|, points of different tiers
+# stay beyond every audited level after the substitution, and points of one
+# tier keep their gaps, so the audit of the image is the audit of the sample.
+TRANSFER_K = 8
+transfer_points = st.one_of(
+    st.integers(0, TRANSFER_K).map(finite),
+    st.builds(huge, st.integers(1, 2), st.integers(-TRANSFER_K, TRANSFER_K)),
+)
+# A sound ladder reports no witnesses, so the unsound one is drawn too.
+ladders = st.sampled_from(
+    [GeneratingSequence.powers_of_two(), GeneratingSequence(lambda n: finite(n + 1))]
+)
+
+
+@given(
+    st.lists(transfer_points, max_size=8, unique=True),
+    ladders,
+    st.integers(0, 3),
+    st.integers(1, 10**6),
+)
+def test_axiom_audit_of_huge_points_maps_onto_finite_points(sample, ladder, n_max, extra):
+    largest_offset = max((abs(x.offset) for x in sample), default=0)
+    N = int(ladder.bound(n_max + 1)) + 2 * largest_offset + extra
+    image = [finite(x.omega_coeff * N + x.offset) for x in sample]
+    names = {str(y): str(x) for x, y in zip(sample, image)}
+    rel = chain_relation(ladder)
+    mapped = rel.verify_generating_axioms(image, n_max)
+    for case in mapped.cases:
+        if not case.passed:
+            case.actual = [
+                {key: value if key == "n" else names[value] for key, value in witness.items()}
+                for witness in case.actual
+            ]
+    assert mapped.to_json() == rel.verify_generating_axioms(sample, n_max).to_json()
