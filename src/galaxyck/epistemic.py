@@ -244,7 +244,11 @@ def _finite_carrier(model: Any) -> bool:
 
 
 def _members(model: Any, event: Any) -> frozenset:
-    """A set's or an Event's members; the one place a predicate is read."""
+    """A set's or an Event's members; the one place a predicate is read.
+
+    A set is read as it is: no Event is built around it."""
+    if isinstance(event, (set, frozenset)):
+        return frozenset(event)  # of a frozenset: that frozenset, not a copy
     ev = _as_event(event)
     if ev.members is not None:
         return ev.members
@@ -284,14 +288,14 @@ def link_iter(model: Any, event: Any, n: Any) -> frozenset:
         raise ValueError("link iterations are nonnegative")
     reached = set(_members(model, event))
     frontier = list(reached)
-    agents = model.agents
+    agents, cell = model.agents, model.cell
     for _ in range(n):
         if not frontier:
             break
         next_frontier = []
         for s in frontier:
             for agent in agents:
-                for t in model.cell(agent, s):
+                for t in cell(agent, s):
                     if t not in reached:
                         reached.add(t)
                         next_frontier.append(t)
@@ -305,11 +309,12 @@ def is_reachable(model: Any, x: State, y: State) -> bool:
 
 
 def knows(model: Any, agent: Agent, event: Any) -> frozenset:
-    """States where the agent's whole cell lies inside the event."""
+    """States where the agent's whole cell lies inside the event: the union
+    of the agent's cells inside it, each cell tested once."""
     if not _finite_carrier(model):
         raise ValueError("knowledge sets need an enumerable carrier")
     members = _members(model, event)
-    return frozenset(s for s in model.states if model.cell(agent, s) <= members)
+    return frozenset().union(*(cell for cell in model.partition(agent) if cell <= members))
 
 
 def knows_group(model: Any, event: Any) -> frozenset:
@@ -323,9 +328,9 @@ def _ck_finite(model: AumannModel, event: Any, omega: State) -> bool:
     """Both CK tests on a finite carrier, where every reachable state is at
     finite link distance: does the block of the meet holding ``omega``, read
     from the cached component index, lie in the event's member set?"""
-    ev = _as_event(event)
-    members = _members(model, ev)
-    _check_witnesses(model, ev, members)
+    members = _members(model, event)
+    if isinstance(event, Event):  # a set has no witnesses
+        _check_witnesses(model, event, members)
     block = model.component_index()[1].get(omega)
     if block is None:
         model.cell(model.agents[0], omega)  # raises: omega is not a state of the model

@@ -34,7 +34,15 @@ def jsonable(value: Any) -> Any:
     if isinstance(value, dict):
         return {str(k): jsonable(v) for k, v in value.items()}
     if isinstance(value, (set, frozenset)):
-        rendered = [jsonable(v) for v in value]
+        kinds = set(map(type, value))
+        # Members all of one type that no branch here matches would each
+        # fall through to str: render them with one map.
+        if len(kinds) == 1 and not issubclass(
+            kinds.pop(), (type(None), str, int, float, dict, set, frozenset, list, tuple, Fraction)
+        ):
+            rendered = list(map(str, value))
+        else:
+            rendered = [jsonable(v) for v in value]
         try:
             return sorted(rendered, key=_encode_str)
         except TypeError:  # a member that is not a string
