@@ -389,6 +389,9 @@ def test_untyped_components_name_their_cause():
         EmailGameState("b", 3, 0)
     assert str(err.value) == "t must be a HyperNat (use state_b / STATE_A)"
     with pytest.raises(TypeError) as err:
+        state_b(True)
+    assert str(err.value) == "message counts are HyperNat or int"
+    with pytest.raises(TypeError) as err:
         PayoffParams(2.0, "3", "1/2", "1/10")
     assert str(err.value) == "payoff parameters are Fractions, ints or strings"
 
@@ -402,6 +405,7 @@ def test_payoff_params_validation():
         dict(M=1, L=1, p="1", eps="1/10"),
         dict(M=1, L=1, p="1/2", eps="2"),
         dict(M=1, L=1, p="1/2", eps="1"),
+        dict(M=1, L=1, p="1/2", eps="0"),
     ):
         with pytest.raises(ValueError):
             PayoffParams(**bad)

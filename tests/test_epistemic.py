@@ -3,7 +3,14 @@ import random
 import pytest
 
 import helpers
-from galaxyck.emailgame import STATE_A, EmailGameModel, event_b, state_b, truncated_model
+from galaxyck.emailgame import (
+    STATE_A,
+    EmailGameModel,
+    check_classical_impossibility,
+    event_b,
+    state_b,
+    truncated_model,
+)
 from galaxyck.epistemic import (
     AumannModel,
     Event,
@@ -229,6 +236,61 @@ def test_knows_group_is_intersection():
             for agent in model.agents:
                 expected &= knows(model, agent, event)
             assert knows_group(model, event) == expected
+
+
+def _knows_by_definition(partitions, agent, members):
+    """K_agent(E) as written: the states whose raw cell lies inside E."""
+    states = {s for cell in partitions[agent] for s in cell}
+    return frozenset(s for s in states if helpers.raw_cell(partitions, agent, s) <= members)
+
+
+def test_knows_matches_its_definition_over_the_raw_partitions():
+    # knows unions the cells inside the event; the definition tests the
+    # cell of every state, scanning the raw lists the model was built from.
+    rng = random.Random(71)
+    cases = []
+    while len(cases) < 15:
+        partitions = helpers.random_partitions(rng, max_states=7)
+        if len(helpers.raw_components(partitions)) > 1:
+            cases.append((AumannModel(list(partitions), partitions), partitions))
+    for T in (1, 2, 4):
+        cases.append((truncated_model(T), _truncation_partitions(T)))
+    for model, partitions in cases:
+        for event in helpers.all_events(model.states):
+            complement = tuple(s for s in model.states if s not in event)
+            forms = (
+                event,
+                Event.from_predicate(event.__contains__),
+                Event(event.__contains__, complement_witnesses=complement),
+            )
+            for agent in model.agents:
+                expected = _knows_by_definition(partitions, agent, event)
+                for ev in forms:
+                    assert knows(model, agent, ev) == expected
+        with pytest.raises(ValueError):
+            knows(model, "nope", frozenset())
+
+
+def test_set_events_are_never_wrapped(monkeypatch):
+    # A set is its own member set: no query on one builds an Event.
+    model = truncated_model(5)
+    b_states = frozenset(s for s in model.states if s.tag == "b")
+    window = frozenset(model.states[2:6])
+    queries = [
+        lambda: [ck_classical(model, e, s) for e in (b_states, window) for s in model.states],
+        lambda: [ck_subjective(model, e, s) for e in (b_states, window) for s in model.states],
+        lambda: [knows(model, agent, e) for e in (b_states, window) for agent in model.agents],
+        lambda: [knows_group(model, e) for e in (b_states, window, set(window))],
+        lambda: [link_iter(model, e, n) for e in (window, set(window)) for n in (0, 1, 3)],
+        lambda: check_classical_impossibility(3).to_json(),
+    ]
+    answers = [query() for query in queries]
+
+    def no_wrap(cls, states):
+        raise AssertionError("a set event was wrapped in an Event")
+
+    monkeypatch.setattr(Event, "from_states", classmethod(no_wrap))
+    assert [query() for query in queries] == answers
 
 
 def test_ck_classical_basics():
@@ -632,6 +694,23 @@ def test_model_from_dict_diagnostics(mutate, field):
     with pytest.raises(ModelFormatError) as err:
         model_from_dict(doc)
     assert err.value.field == field
+
+
+def test_model_from_dict_rejects_wrong_types_and_empty_lists_where_they_stand():
+    # A value of the wrong type is rejected even when it is truthy, and an
+    # empty list even though it has the right type.
+    cases = [
+        ({"agents": "ann"}, "agents"),
+        ({"agents": []}, "agents"),
+        ({"agents": [{"name": 5, "partition": [["a"]]}]}, "agents[0].name"),
+        ({"agents": [{"name": "ann", "partition": "a"}]}, "agents[0].partition"),
+        # A string cell would otherwise pass as the list of its characters.
+        ({"agents": [{"name": "ann", "partition": ["a"]}]}, "agents[0].partition[0]"),
+    ]
+    for change, field in cases:
+        with pytest.raises(ModelFormatError) as err:
+            model_from_dict({"states": ["a"], **change})
+        assert err.value.field == field
 
 
 _DOC = {

@@ -29,6 +29,7 @@ def test_every_finite_below_every_huge():
 
 def test_huge_constructor_and_order():
     assert huge(1, -1).is_huge
+    assert huge(2) == huge(2, 0)
     assert huge(2, 0) > huge(1, 10**9)
     assert huge(1, 0) - finite(1) == huge(1, -1)
     with pytest.raises(ValueError):
@@ -83,6 +84,9 @@ def test_scalar_multiplication():
     assert finite(4) * 3 == finite(12)
     with pytest.raises(ValueError):
         huge(1, 0) * -1
+    for factor in (True, 1.5):  # bools and floats are not scale factors
+        with pytest.raises(TypeError):
+            finite(4) * factor
 
 
 def test_int_conversion():

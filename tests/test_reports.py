@@ -1,3 +1,4 @@
+import enum
 import json
 import math
 from fractions import Fraction
@@ -8,11 +9,13 @@ from hypothesis import given
 
 from galaxyck import cli
 from galaxyck.emailgame import (
+    STATE_A,
     CutoffStrategy,
     PayoffParams,
     best_response_check,
     check_classical_impossibility,
     check_monotone_ck,
+    state_b,
     truncated_model,
 )
 from galaxyck.epistemic import knows_group, link_iter, meet_equals_galaxies
@@ -81,6 +84,84 @@ def test_set_members_sort_by_their_canonical_json_text():
 @given(st.frozensets(text, max_size=8))
 def test_string_sets_sort_by_their_json_text(strings):
     assert jsonable(strings) == sorted(strings, key=lambda m: json.dumps(m, sort_keys=True))
+
+
+def _jsonable_member_by_member(value):
+    """jsonable's rules with every set member rendered by its own call and
+    sorted by its ``json.dumps`` text: the reference of the one-map path."""
+    if value is None or isinstance(value, (str, int, float)):
+        return value
+    if isinstance(value, dict):
+        return {str(k): _jsonable_member_by_member(v) for k, v in value.items()}
+    if isinstance(value, (set, frozenset)):
+        members = map(_jsonable_member_by_member, value)
+        return sorted(members, key=lambda m: json.dumps(m, sort_keys=True))
+    if isinstance(value, (list, tuple)):
+        return [_jsonable_member_by_member(v) for v in value]
+    if isinstance(value, Fraction):
+        return f"{value.numerator}/{value.denominator}"
+    return str(value)
+
+
+class Quoted:
+    """A set member whose str needs escaping: quotes, a backslash, non-ASCII."""
+
+    def __init__(self, text):
+        self.text = text
+
+    def __str__(self):
+        return f'"{self.text}" \\ é'
+
+
+class Level(enum.IntEnum):
+    LOW = 1
+    HIGH = 300
+
+
+class Label(str):
+    pass
+
+
+hypernats = st.builds(finite, st.integers(0, 60)) | st.builds(
+    huge, st.integers(1, 3), st.integers(-5, 5)
+)
+set_members = [
+    st.just(STATE_A) | st.builds(state_b, hypernats.filter(lambda t: t >= 1), st.integers(0, 1)),
+    hypernats,
+    st.builds(Quoted, text),
+    st.booleans(),
+    st.sampled_from(Level),
+    st.builds(Label, text),
+    st.fractions(max_denominator=20),
+    st.tuples(st.integers(-3, 3), text),
+    st.frozensets(st.integers(-3, 3) | text, max_size=3),
+]
+member_sets = st.one_of(
+    *(st.frozensets(member, max_size=10) for member in set_members),
+    st.frozensets(st.one_of(*set_members), max_size=10),
+    st.sets(st.one_of(*set_members), max_size=6),
+)
+
+
+@given(member_sets)
+def test_one_type_sets_render_as_member_by_member(value):
+    assert render_json(jsonable(value)) == render_json(_jsonable_member_by_member(value))
+
+
+def test_a_set_of_one_object_type_renders_without_a_call_per_member(monkeypatch):
+    from galaxyck import reports
+
+    calls = []
+    real = reports.jsonable
+
+    def counting(value):
+        calls.append(value)
+        return real(value)
+
+    monkeypatch.setattr(reports, "jsonable", counting)
+    states = frozenset(truncated_model(6).states)
+    assert counting(states) == sorted(map(str, states), key=json.dumps)
+    assert len(calls) == 1
 
 
 @given(json_native)
