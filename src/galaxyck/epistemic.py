@@ -288,14 +288,14 @@ def link_iter(model: Any, event: Any, n: Any) -> frozenset:
         raise ValueError("link iterations are nonnegative")
     reached = set(_members(model, event))
     frontier = list(reached)
-    agents, cell = model.agents, model.cell
+    agents = model.agents
     for _ in range(n):
         if not frontier:
             break
         next_frontier = []
         for s in frontier:
             for agent in agents:
-                for t in cell(agent, s):
+                for t in model.cell(agent, s):
                     if t not in reached:
                         reached.add(t)
                         next_frontier.append(t)
@@ -328,9 +328,7 @@ def _ck_finite(model: AumannModel, event: Any, omega: State) -> bool:
     """Both CK tests on a finite carrier, where every reachable state is at
     finite link distance: does the block of the meet holding ``omega``, read
     from the cached component index, lie in the event's member set?"""
-    members = _members(model, event)
-    if isinstance(event, Event):  # a set has no witnesses
-        _check_witnesses(model, event, members)
+    members = _checked_members(model, event)
     block = model.component_index()[1].get(omega)
     if block is None:
         model.cell(model.agents[0], omega)  # raises: omega is not a state of the model
@@ -367,6 +365,15 @@ def _check_witnesses(model: Any, ev: Event, members: Optional[frozenset] = None)
         raise ValueError("complement witnesses must list exactly the event's complement")
 
 
+def _checked_members(model: Any, event: Any) -> frozenset:
+    """An event's members on a finite carrier, with its witnesses checked
+    when it is an Event (a set has none)."""
+    members = _members(model, event)
+    if isinstance(event, Event):
+        _check_witnesses(model, event, members)
+    return members
+
+
 def ck_subjective(model: Any, event: Any, omega: State) -> bool:
     """Subjective test: nothing outside the event is at finite link distance.
 
@@ -388,11 +395,10 @@ def ck_region(model: Any, event: Any) -> Event:
     carrier the region is the member set of the meet blocks inside the
     event; on an infinite one a query searches the complement witnesses.
     """
-    ev = _as_event(event)
     if _finite_carrier(model):
-        members = _members(model, ev)
-        _check_witnesses(model, ev, members)
+        members = _checked_members(model, event)
         return Event.from_states(s for b in model.component_index()[0] if b <= members for s in b)
+    ev = _as_event(event)
     _check_witnesses(model, ev)
     rel = reachability_relation(model)
     return Event.from_predicate(

@@ -679,6 +679,19 @@ def test_model_from_dict_round_trip():
         # Unhashable members are unknown states, not a TypeError.
         (lambda d: d["agents"][1]["partition"][0].append(["w1"]), "agents[1].partition[0]"),
         (lambda d: d["events"].update(F=[{"w1": 1}]), "events.F"),
+        # A value of the wrong type is rejected even when it is truthy, and an
+        # empty list even though it has the right type.
+        # Explicit ids keep the ids of the cases above unique.
+        pytest.param(lambda d: d.update(agents="ann"), "agents", id="string-agents"),
+        pytest.param(lambda d: d.update(agents=[]), "agents", id="no-agents"),
+        pytest.param(lambda d: d["agents"][0].update(name=5), "agents[0].name", id="int-name"),
+        pytest.param(lambda d: d["agents"][0].update(partition="w1"), "agents[0].partition",
+                     id="string-partition"),
+        # A string cell would otherwise pass as the list of its characters.
+        pytest.param(
+            lambda d: d.update(states=["a"], agents=[{"name": "ann", "partition": ["a"]}], events={}),
+            "agents[0].partition[0]", id="string-cell",
+        ),
     ],
 )
 def test_model_from_dict_diagnostics(mutate, field):
@@ -694,23 +707,6 @@ def test_model_from_dict_diagnostics(mutate, field):
     with pytest.raises(ModelFormatError) as err:
         model_from_dict(doc)
     assert err.value.field == field
-
-
-def test_model_from_dict_rejects_wrong_types_and_empty_lists_where_they_stand():
-    # A value of the wrong type is rejected even when it is truthy, and an
-    # empty list even though it has the right type.
-    cases = [
-        ({"agents": "ann"}, "agents"),
-        ({"agents": []}, "agents"),
-        ({"agents": [{"name": 5, "partition": [["a"]]}]}, "agents[0].name"),
-        ({"agents": [{"name": "ann", "partition": "a"}]}, "agents[0].partition"),
-        # A string cell would otherwise pass as the list of its characters.
-        ({"agents": [{"name": "ann", "partition": ["a"]}]}, "agents[0].partition[0]"),
-    ]
-    for change, field in cases:
-        with pytest.raises(ModelFormatError) as err:
-            model_from_dict({"states": ["a"], **change})
-        assert err.value.field == field
 
 
 _DOC = {

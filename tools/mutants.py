@@ -18,9 +18,10 @@ or the probe exits 2.  A survivor listed in ``EQUIVALENT`` with the reason
 it cannot change any behaviour is accepted; any other survivor makes the
 probe exit 1.
 
-    python tools/mutants.py                                  # every function
-    python tools/mutants.py --only epistemic.knows reports.jsonable --jobs 2
-    python tools/mutants.py --list                           # mutants only
+    python tools/mutants.py                                       # every function
+    python tools/mutants.py --only epistemic.knows reports.jsonable
+
+Suites run at once, one per core.
 """
 
 from __future__ import annotations
@@ -171,18 +172,14 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--only", nargs="+", metavar="MODULE.FUNCTION",
                         help="mutate only these functions (Class.method for a method)")
-    parser.add_argument("--jobs", type=int, default=1, help="suites run at once (default 1)")
-    parser.add_argument("--list", action="store_true", help="print the mutant ids and stop")
     args = parser.parse_args(argv)
     todo = [m for module in MODULES for m in mutants(module, args.only)]
     if not todo:
         parser.error("no function matches --only")
-    if args.list:
-        print("\n".join(ident for ident, _, _ in todo))
-        return 0
+    jobs = min(os.cpu_count() or 1, len(todo))
     copies: queue.Queue = queue.Queue()
     with tempfile.TemporaryDirectory() as tmp:
-        for j in range(args.jobs):
+        for j in range(jobs):
             copy = Path(tmp) / str(j)
             shutil.copytree(ROOT / "src", copy / "src", ignore=shutil.ignore_patterns("__pycache__"))
             shutil.copytree(ROOT / "tests", copy / "tests", ignore=shutil.ignore_patterns("__pycache__"))
@@ -194,7 +191,7 @@ def main(argv=None) -> int:
             print("the suite fails on the unmutated copy; no mutant run", file=sys.stderr)
             return 2
         verdicts, survivors = [], []
-        with concurrent.futures.ThreadPoolExecutor(args.jobs) as pool:
+        with concurrent.futures.ThreadPoolExecutor(jobs) as pool:
             for (ident, _, _), verdict in zip(todo, pool.map(lambda m: run(m, copies), todo)):
                 listed = ident in EQUIVALENT
                 print(f"{verdict:8} {'(equivalent) ' if listed else ''}{ident}", flush=True)
