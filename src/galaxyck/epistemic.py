@@ -203,22 +203,17 @@ class AumannModel:
 
 @dataclass(frozen=True)
 class Event:
-    """An event as a total membership predicate.
+    """An event given by a total membership predicate, a class that need not
+    be a set; the other kind of event is a plain set of states.
 
-    ``members`` pins the explicit extension when it is finite and known.
-    ``complement_witnesses`` lists every state OUTSIDE the event; it is what
+    ``complement_witnesses`` lists every state OUTSIDE the event.  It is what
     makes subjective checks possible on infinite carriers, so there it must
-    be finite and exhaustive.
+    be finite and exhaustive; on a finite carrier, where given, every
+    operator checks that it is exactly the complement.
     """
 
     contains: Callable[[Any], bool]
-    members: Optional[frozenset] = None
     complement_witnesses: Optional[tuple] = None
-
-    @classmethod
-    def from_states(cls, states: Iterable[State]) -> "Event":
-        members = frozenset(states)
-        return cls(contains=members.__contains__, members=members)
 
     @classmethod
     def from_predicate(
@@ -230,31 +225,27 @@ class Event:
         return cls(contains=predicate, complement_witnesses=witnesses)
 
 
-def _as_event(event: Any) -> Event:
-    if isinstance(event, Event):
-        return event
-    if isinstance(event, (set, frozenset)):
-        return Event.from_states(event)
-    raise TypeError("events are sets of states or Event objects")
-
-
 def _finite_carrier(model: Any) -> bool:
     """Does the model enumerate its carrier (``states`` is not None)?"""
     return getattr(model, "states", None) is not None
 
 
 def _members(model: Any, event: Any) -> frozenset:
-    """A set's or an Event's members; the one place a predicate is read.
+    """An event's member set; the one place an event is read.
 
-    A set is read as it is: no Event is built around it."""
+    A set is read as it is: no Event is built around it.  An Event's
+    predicate is called once per state of a finite carrier, and its
+    complement witnesses, where given, are checked against that same set.
+    """
     if isinstance(event, (set, frozenset)):
         return frozenset(event)  # of a frozenset: that frozenset, not a copy
-    ev = _as_event(event)
-    if ev.members is not None:
-        return ev.members
-    if _finite_carrier(model):
-        return frozenset(filter(ev.contains, model.states))
-    raise ValueError("event needs an explicit member set on an infinite carrier")
+    if not isinstance(event, Event):
+        raise TypeError("events are sets of states or Event objects")
+    if not _finite_carrier(model):
+        raise ValueError("event needs an explicit member set on an infinite carrier")
+    members = frozenset(filter(event.contains, model.states))
+    _check_witnesses(model, event, members)
+    return members
 
 
 def link_agent(model: Any, agent: Agent, event: Any) -> frozenset:
@@ -328,7 +319,7 @@ def _ck_finite(model: AumannModel, event: Any, omega: State) -> bool:
     """Both CK tests on a finite carrier, where every reachable state is at
     finite link distance: does the block of the meet holding ``omega``, read
     from the cached component index, lie in the event's member set?"""
-    members = _checked_members(model, event)
+    members = _members(model, event)
     block = model.component_index()[1].get(omega)
     if block is None:
         model.cell(model.agents[0], omega)  # raises: omega is not a state of the model
@@ -350,7 +341,7 @@ def reachability_relation(model: Any) -> SoritesRelation:
 
 def _check_witnesses(model: Any, ev: Event, members: Optional[frozenset] = None) -> None:
     """Witnesses, where given, must lie outside the event and, on a finite
-    carrier, be the complement of its ``members``; an infinite one needs them."""
+    carrier, be the states outside its ``members``; an infinite one needs them."""
     witnesses = ev.complement_witnesses
     if witnesses is None:
         if members is None:
@@ -361,17 +352,8 @@ def _check_witnesses(model: Any, ev: Event, members: Optional[frozenset] = None)
     for x in witnesses:
         if ev.contains(x):
             raise ValueError(f"complement witness {x!r} lies inside the event")
-    if members is not None and set(witnesses) != model.component_index()[1].keys() - members:
+    if members is not None and set(witnesses) != set(model.states) - members:
         raise ValueError("complement witnesses must list exactly the event's complement")
-
-
-def _checked_members(model: Any, event: Any) -> frozenset:
-    """An event's members on a finite carrier, with its witnesses checked
-    when it is an Event (a set has none)."""
-    members = _members(model, event)
-    if isinstance(event, Event):
-        _check_witnesses(model, event, members)
-    return members
 
 
 def ck_subjective(model: Any, event: Any, omega: State) -> bool:
@@ -392,13 +374,15 @@ def ck_region(model: Any, event: Any) -> Event:
     """The event of states at which ``event`` is subjectively common knowledge.
 
     The event is read and its witnesses checked once, here.  On a finite
-    carrier the region is the member set of the meet blocks inside the
-    event; on an infinite one a query searches the complement witnesses.
+    carrier the region is the union of the meet blocks inside the event; on
+    an infinite one a query searches the complement witnesses.
     """
     if _finite_carrier(model):
-        members = _checked_members(model, event)
-        return Event.from_states(s for b in model.component_index()[0] if b <= members for s in b)
-    ev = _as_event(event)
+        members = _members(model, event)
+        region = frozenset().union(*(b for b in model.component_index()[0] if b <= members))
+        return Event(region.__contains__)
+    # A set lists no witnesses, so its Event is rejected below.
+    ev = event if isinstance(event, Event) else Event(_members(model, event).__contains__)
     _check_witnesses(model, ev)
     rel = reachability_relation(model)
     return Event.from_predicate(

@@ -1,6 +1,7 @@
 """The in-process CLI harness, the child-process environment, random model
-generators, a reference search over raw partition lists and event
-enumeration shared by the test suite."""
+generators, the e-mail game's truncation written out literally, a reference
+search over raw partition lists and event enumeration shared by the test
+suite."""
 
 import contextlib
 import io
@@ -92,6 +93,17 @@ def random_connected_model(rng, max_states=8, agent_counts=(2, 3)):
         model = random_model(rng, max_states, agent_counts)
         if len(model.components()) == 1:
             return model
+
+
+def truncation_partitions(T):
+    """The cells of the e-mail game's T-truncation written out literally over
+    plain ``(tag, t, t')`` tuples: agent 1 pairs (b,t,t-1) with (b,t,t),
+    agent 2 pairs (b,t,t) with (b,t+1,t), and agent 2's last cell is the
+    clipped singleton (b,T,T)."""
+    a = ("a", 0, 0)
+    p1 = [[a]] + [[("b", t, t - 1), ("b", t, t)] for t in range(1, T + 1)]
+    p2 = [[a, ("b", 1, 0)]] + [[("b", t, t), ("b", t + 1, t)] for t in range(1, T)]
+    return {1: p1, 2: p2 + [[("b", T, T)]]}
 
 
 def raw_cell(partitions, agent, state):

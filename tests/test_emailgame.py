@@ -31,7 +31,7 @@ from galaxyck.emailgame import (
 )
 from galaxyck.epistemic import AumannModel, Event, ck_classical, ck_region, ck_subjective
 from galaxyck.hypernat import finite, huge
-from helpers import subprocess_env
+from helpers import subprocess_env, truncation_partitions
 
 PARAMS = PayoffParams(2, 3, Fraction(1, 2), Fraction(1, 10))
 
@@ -43,14 +43,6 @@ def as_tuple(s: EmailGameState):
 def from_tuple(tpl) -> EmailGameState:
     tag, t, tp = tpl
     return STATE_A if tag == "a" else state_b(t, t - tp)
-
-
-def display_partitions(T):
-    """The partition tables written out literally, over plain tuples."""
-    a = ("a", 0, 0)
-    p1 = [[a]] + [[("b", t, t - 1), ("b", t, t)] for t in range(1, T + 1)]
-    p2 = [[a, ("b", 1, 0)]] + [[("b", t, t), ("b", t + 1, t)] for t in range(1, T)]
-    return p1, p2
 
 
 def test_state_invariants():
@@ -71,8 +63,9 @@ def test_state_invariants():
 
 def test_cells_match_literal_partition_tables():
     T = 20
-    p1, p2 = display_partitions(T)
-    for agent, table in ((1, p1), (2, p2)):
+    p1, p2 = truncation_partitions(T).values()
+    # Agent 2's last cell is the clipped (b,T,T); the closed form's also holds (b,T+1,T).
+    for agent, table in ((1, p1), (2, p2[:-1])):
         for listed in table:
             expected = frozenset(listed)
             for member in listed:
@@ -107,8 +100,7 @@ def test_email_metric_examples():
 
 def test_email_metric_matches_bfs_on_truncation():
     T = 20
-    p1, p2 = display_partitions(T)
-    bfs_model = AumannModel((1, 2), {1: p1, 2: p2 + [[("b", T, T)]]})
+    bfs_model = AumannModel((1, 2), truncation_partitions(T))
     tuples = list(bfs_model.states)
     for x in tuples:
         layers = bfs_model.distances_from(x)
@@ -163,9 +155,9 @@ def test_truncated_model_matches_display():
     T = 5
     model = truncated_model(T)
     assert len(model.states) == 2 * T + 1
-    p1, p2 = display_partitions(T)
+    p1, p2 = truncation_partitions(T).values()
     expected_p1 = {frozenset(c) for c in p1}
-    expected_p2 = {frozenset(c) for c in p2} | {frozenset([("b", T, T)])}
+    expected_p2 = {frozenset(c) for c in p2}
     got_p1 = {frozenset(as_tuple(s) for s in c) for c in model.partition(1)}
     got_p2 = {frozenset(as_tuple(s) for s in c) for c in model.partition(2)}
     assert got_p1 == expected_p1
@@ -272,10 +264,13 @@ def test_infinite_carrier_refuses_enumeration():
     with pytest.raises(ValueError):
         ck_classical(game, event_b(), STATE_A)
     bare_event = Event.from_predicate(lambda s: s.tag == "b")
-    with pytest.raises(ValueError, match="needs complement witnesses"):
-        ck_subjective(game, bare_event, state_b(3))
-    with pytest.raises(ValueError, match="needs complement witnesses"):
-        ck_region(game, bare_event)  # raised when the region is built
+    for event in (bare_event, frozenset({state_b(3)})):  # a set lists no witnesses either
+        with pytest.raises(ValueError, match="needs complement witnesses"):
+            ck_subjective(game, event, state_b(3))
+        with pytest.raises(ValueError, match="needs complement witnesses"):
+            ck_region(game, event)  # raised when the region is built
+    with pytest.raises(TypeError, match="events are sets of states or Event objects"):
+        ck_region(game, [state_b(3)])
 
 
 def test_infinite_carrier_rejects_witness_inside_event():

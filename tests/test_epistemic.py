@@ -34,10 +34,7 @@ from galaxyck.hypernat import finite, huge
 
 def mail_chain_model(T=3):
     """The mail-game truncation written out literally over tuple states."""
-    a = ("a", 0, 0)
-    p1 = [[a]] + [[("b", t, t - 1), ("b", t, t)] for t in range(1, T + 1)]
-    p2 = [[a, ("b", 1, 0)]] + [[("b", t, t), ("b", t + 1, t)] for t in range(1, T)] + [[("b", T, T)]]
-    return AumannModel((1, 2), {1: p1, 2: p2})
+    return AumannModel((1, 2), helpers.truncation_partitions(T))
 
 
 A = ("a", 0, 0)
@@ -286,10 +283,10 @@ def test_set_events_are_never_wrapped(monkeypatch):
     ]
     answers = [query() for query in queries]
 
-    def no_wrap(cls, states):
-        raise AssertionError("a set event was wrapped in an Event")
+    def no_wrap(self, *args, **kwargs):
+        raise AssertionError("a query on a set event built an Event")
 
-    monkeypatch.setattr(Event, "from_states", classmethod(no_wrap))
+    monkeypatch.setattr(Event, "__init__", no_wrap)
     assert [query() for query in queries] == answers
 
 
@@ -394,7 +391,7 @@ def test_ck_subjective_with_complement_witnesses():
 
 
 def test_ck_subjective_rejects_bad_complement_witnesses():
-    # Both tests validate the witnesses, so neither answers a bad event.
+    # Every reader validates the witnesses, so none answers a bad event.
     model = mail_chain_model()
     inside = Event.from_predicate(lambda s: s[0] == "b", complement_witnesses=(A, ("b", 2, 2)))
     # Missing the only outside state would make B look like common knowledge.
@@ -413,10 +410,18 @@ def test_ck_subjective_rejects_bad_complement_witnesses():
                 Event.from_predicate(lambda s: s.tag == "b", (STATE_A, state_b(2))),
                 state_b(3),
             )
-    # A region checks its event when it is built, before any query.
-    for bad, message in ((inside, "inside the event"), (short, "exactly"), (stray, "exactly")):
-        with pytest.raises(ValueError, match=message):
-            ck_region(model, bad)
+    readers = (
+        ck_region,  # checks its event when the region is built, before any query
+        lambda m, e: link_agent(m, 1, e),
+        link_group,
+        lambda m, e: link_iter(m, e, 2),
+        lambda m, e: knows(m, 2, e),
+        knows_group,
+    )
+    for read in readers:
+        for bad, message in ((inside, "inside the event"), (short, "exactly"), (stray, "exactly")):
+            with pytest.raises(ValueError, match=message):
+                read(model, bad)
 
 
 def test_ck_region_checks_witnesses_once_per_region(monkeypatch):
@@ -463,7 +468,7 @@ def test_finite_ck_region_is_the_union_of_the_closures_inside_the_event():
                 Event(event.__contains__, complement_witnesses=complement),
             ):
                 region = ck_region(model, ev)
-                assert region.members == expected
+                assert frozenset(filter(region.contains, model.states)) == expected
                 # A union of meet blocks is self-evident: everyone knows it,
                 # and no link leaves it.
                 assert knows_group(model, region) == expected
@@ -534,11 +539,15 @@ def _several_component_models(rng, count):
 
 
 def _truncation_partitions(T):
-    """The cells of the T-truncation written out literally: agent 1 pairs
-    (b,t,t-1) with (b,t,t), agent 2 pairs (b,t,t) with (b,t+1,t)."""
-    p1 = [[STATE_A]] + [[state_b(t, 1), state_b(t)] for t in range(1, T + 1)]
-    p2 = [[STATE_A, state_b(1, 1)]] + [[state_b(t), state_b(t + 1, 1)] for t in range(1, T)]
-    return {1: p1, 2: p2 + [[state_b(T)]]}
+    """helpers.truncation_partitions(T) over the states of truncated_model(T)."""
+
+    def state(tag, t, t_prime):
+        return STATE_A if tag == "a" else state_b(t, t - t_prime)
+
+    return {
+        agent: [[state(*s) for s in cell] for cell in cells]
+        for agent, cells in helpers.truncation_partitions(T).items()
+    }
 
 
 def _assert_model_matches_raw_partitions(model, partitions):
@@ -590,7 +599,6 @@ def test_component_index_verdicts_match_bfs_closures():
         assert blocks == meet(model)
         for event in helpers.all_events(model.states):
             predicate_only = Event.from_predicate(event.__contains__)
-            assert predicate_only.members is None
             for omega in model.states:
                 closure = model.closure(omega)
                 assert block_of[omega] == closure

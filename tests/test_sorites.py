@@ -35,14 +35,6 @@ def test_galaxy_membership_aliases_related():
     assert rel.in_galaxy(a0, a0)
 
 
-def test_generating_axioms_default_ladder_passes():
-    rel = chain_relation()
-    sample = [finite(i) for i in range(100)]
-    report = rel.verify_generating_axioms(sample, n_max=6)
-    assert report.passed
-    assert [case.passed for case in report.cases] == [True, True, True]
-
-
 def test_generating_axioms_reports_doubling_failure():
     slow = GeneratingSequence(lambda n: finite(n + 1))
     rel = SoritesRelation(dist=gap, gen=slow)
