@@ -354,10 +354,16 @@ def best_response_check(
     Each cell state gives one row of (prescribed, deviation) payoffs, and the
     count's tier picks the basis.  Finite cells compare the rows' conditional
     expectations, renormalized on the cell (exact rationals throughout: the
-    comparisons are strict inequalities).  Huge cells carry no probabilities,
-    so the rows are compared pointwise; if the preference ever differed
-    across one huge cell the verdict would depend on unassigned
-    probabilities, which the report flags as insufficient information.
+    comparisons are strict inequalities).  Each state's ``state_probability``
+    is first divided by that of the cell's first state in chain order, so
+    the factor ``p*(1-eps)**(k-1)*eps`` that the cell's states share
+    cancels: the sums run over the ratios 1 : (1-eps), or (1-p) : p*eps in
+    agent 2's count-0 cell, not over numbers that grow with the count.
+    Fractions normalize, so the expectations are the same either way.
+    Huge cells carry no probabilities, so the rows are compared pointwise;
+    if the preference ever differed across one huge cell the verdict would
+    depend on unassigned probabilities, which the report flags as
+    insufficient information.
     """
     strat = tuple(strategies)
     if len(strat) != 2:
@@ -388,6 +394,8 @@ def best_response_check(
                 )
             if count.is_finite:
                 weights = [state_probability(s, params) for s in cellstates]
+                base = weights[cellstates.index(min(cellstates, key=chain_position))]
+                weights = [w / base for w in weights]
                 total = sum(weights)
                 value = sum(w * pres for w, (pres, _) in zip(weights, rows)) / total
                 dev_value = sum(w * dev for w, (_, dev) in zip(weights, rows)) / total

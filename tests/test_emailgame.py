@@ -2,11 +2,12 @@ import copy
 import pickle
 import subprocess
 import sys
+from dataclasses import asdict
 from fractions import Fraction
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 
 from galaxyck import emailgame
 from galaxyck.emailgame import (
@@ -31,6 +32,7 @@ from galaxyck.emailgame import (
 )
 from galaxyck.epistemic import AumannModel, Event, ck_classical, ck_region, ck_subjective
 from galaxyck.hypernat import finite, huge
+from galaxyck.reports import CheckReport
 from helpers import subprocess_env, truncation_partitions
 
 PARAMS = PayoffParams(2, 3, Fraction(1, 2), Fraction(1, 10))
@@ -588,6 +590,70 @@ def test_finite_cells_weigh_by_closed_forms(params, m1, m2, own_counts):
             assert actual["expected_payoff"] == expectation(actual["prescribed"])
             assert actual["deviation_payoff"] == expectation(actual["deviation"])
             assert actual["prescribed"] == strategies[agent - 1].action(k)
+
+
+def raw_weight_audit(strategies, params, own_counts):
+    """The finite-count audit summed over the raw state probabilities of
+    each cell, with no renormalisation before the sums."""
+    report = CheckReport(
+        "equilibrium",
+        dict(asdict(params), finite_samples=[str(k) for k in own_counts], huge_samples=[]),
+    )
+    for agent in (1, 2):
+        own, other = strategies[agent - 1], strategies[2 - agent]
+        for k in own_counts:
+            cellstates = sorted(cell_by_own_count(agent, k), key=str)
+            weights = [state_probability(s, params) for s in cellstates]
+
+            def expectation(action):
+                total = Fraction(0)
+                for s, w in zip(cellstates, weights):
+                    if agent == 1:
+                        pair = payoff_pair(s.tag, action, other.action(s.t_prime), params)
+                    else:
+                        pair = payoff_pair(s.tag, other.action(s.t), action, params)
+                    total += w * pair[agent - 1]
+                return total / sum(weights)
+
+            prescribed = own.action(k)
+            deviation = "B" if prescribed == "A" else "A"
+            value, dev_value = expectation(prescribed), expectation(deviation)
+            actual = {
+                "basis": "expected",
+                "prescribed": prescribed,
+                "expected_payoff": value,
+                "deviation": deviation,
+                "deviation_payoff": dev_value,
+            }
+            report.add(
+                {"agent": agent, "own_count": str(k), "cell": [str(s) for s in cellstates]},
+                "prescribed action is a best response",
+                actual,
+                dev_value <= value,
+            )
+    return report
+
+
+# Mostly small counts, with some in the thousands, where the raw weights
+# run to tens of kilobits.
+own_counts = st.one_of(st.integers(1, 200), st.integers(1000, 4000))
+
+
+@settings(deadline=None)
+@given(
+    st.builds(PayoffParams, positive_fractions, positive_fractions, unit_fractions, unit_fractions),
+    st.one_of(st.just(0), own_counts),
+    st.one_of(st.just(0), own_counts),
+    st.lists(own_counts, max_size=4, unique=True),
+)
+def test_audit_matches_the_raw_weight_audit(params, m1, m2, counts):
+    # Count 0 is always asked: agent 2's cell there mixes games a and b.
+    counts = [0, *counts]
+    strategies = (threshold(m1), threshold(m2))
+    audit = best_response_check(strategies, params, counts)
+    reference = raw_weight_audit(strategies, params, counts)
+    assert audit.to_dict() == reference.to_dict()
+    assert audit.to_json() == reference.to_json()
 
 
 def test_equilibrium_guard_flags_probability_dependent_huge_cells():

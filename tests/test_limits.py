@@ -55,6 +55,11 @@ def run_limited(argv, cwd):
         pytest.param(
             0, ["emailgame", "equilibrium", "--huge-samples", HUGE], id="equilibrium-huge"
         ),
+        pytest.param(
+            0,
+            ["emailgame", "equilibrium", "--finite-samples", "300000", "--huge-samples", "w+0"],
+            id="equilibrium-large-finite",
+        ),
     ],
 )
 def test_longest_counts(code, argv, tmp_path):
