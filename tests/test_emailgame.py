@@ -548,6 +548,19 @@ def threshold(m):
     return CutoffStrategy(rule=lambda count: "A" if count < m else "B")
 
 
+def expectation(agent, strategies, params, cellstates, weights, action):
+    """The agent's payoff for ``action`` over the cell's states, averaged
+    with the given weights."""
+    total = Fraction(0)
+    for s, w in zip(cellstates, weights):
+        if agent == 1:
+            pair = payoff_pair(s.tag, action, strategies[1].action(s.t_prime), params)
+        else:
+            pair = payoff_pair(s.tag, strategies[0].action(s.t), action, params)
+        total += w * pair[agent - 1]
+    return total / sum(weights)
+
+
 @given(
     st.builds(PayoffParams, positive_fractions, positive_fractions, unit_fractions, unit_fractions),
     st.integers(0, 201),
@@ -575,20 +588,10 @@ def test_finite_cells_weigh_by_closed_forms(params, m1, m2, own_counts):
             probs = [state_probability(s, params) for s in cellstates]
             assert len(probs) == len(weights)
             assert all(prob * weights[0] == probs[0] * w for prob, w in zip(probs, weights))
-
-            def expectation(action):
-                total = Fraction(0)
-                for s, w in zip(cellstates, weights):
-                    if agent == 1:
-                        pair = payoff_pair(s.tag, action, strategies[1].action(s.t_prime), params)
-                    else:
-                        pair = payoff_pair(s.tag, strategies[0].action(s.t), action, params)
-                    total += w * pair[agent - 1]
-                return total / sum(weights)
-
             actual = case_for(report, agent, str(k)).actual
-            assert actual["expected_payoff"] == expectation(actual["prescribed"])
-            assert actual["deviation_payoff"] == expectation(actual["deviation"])
+            cell_args = (agent, strategies, params, cellstates, weights)
+            assert actual["expected_payoff"] == expectation(*cell_args, actual["prescribed"])
+            assert actual["deviation_payoff"] == expectation(*cell_args, actual["deviation"])
             assert actual["prescribed"] == strategies[agent - 1].action(k)
 
 
@@ -600,24 +603,14 @@ def raw_weight_audit(strategies, params, own_counts):
         dict(asdict(params), finite_samples=[str(k) for k in own_counts], huge_samples=[]),
     )
     for agent in (1, 2):
-        own, other = strategies[agent - 1], strategies[2 - agent]
         for k in own_counts:
             cellstates = sorted(cell_by_own_count(agent, k), key=str)
             weights = [state_probability(s, params) for s in cellstates]
-
-            def expectation(action):
-                total = Fraction(0)
-                for s, w in zip(cellstates, weights):
-                    if agent == 1:
-                        pair = payoff_pair(s.tag, action, other.action(s.t_prime), params)
-                    else:
-                        pair = payoff_pair(s.tag, other.action(s.t), action, params)
-                    total += w * pair[agent - 1]
-                return total / sum(weights)
-
-            prescribed = own.action(k)
+            prescribed = strategies[agent - 1].action(k)
             deviation = "B" if prescribed == "A" else "A"
-            value, dev_value = expectation(prescribed), expectation(deviation)
+            cell_args = (agent, strategies, params, cellstates, weights)
+            value = expectation(*cell_args, prescribed)
+            dev_value = expectation(*cell_args, deviation)
             actual = {
                 "basis": "expected",
                 "prescribed": prescribed,
@@ -636,15 +629,15 @@ def raw_weight_audit(strategies, params, own_counts):
 
 # Mostly small counts, with some in the thousands, where the raw weights
 # run to tens of kilobits.
-own_counts = st.one_of(st.integers(1, 200), st.integers(1000, 4000))
+audit_counts = st.one_of(st.integers(1, 200), st.integers(1000, 4000))
 
 
 @settings(deadline=None)
 @given(
     st.builds(PayoffParams, positive_fractions, positive_fractions, unit_fractions, unit_fractions),
-    st.one_of(st.just(0), own_counts),
-    st.one_of(st.just(0), own_counts),
-    st.lists(own_counts, max_size=4, unique=True),
+    st.one_of(st.just(0), audit_counts),
+    st.one_of(st.just(0), audit_counts),
+    st.lists(audit_counts, max_size=4, unique=True),
 )
 def test_audit_matches_the_raw_weight_audit(params, m1, m2, counts):
     # Count 0 is always asked: agent 2's cell there mixes games a and b.
