@@ -27,7 +27,7 @@ from .reports import CheckReport, jsonable, render_json
 from .sorites import chain_relation
 
 EXIT_PASS, EXIT_FAIL, EXIT_USAGE, EXIT_INTERNAL = 0, 1, 2, 3
-MAX_RANGE = 10_000  # counts in one "lo..hi" sample range
+MAX_RANGE = 10_000  # counts in one "lo..hi" sample range or entries in one comma list
 MAX_COUNT_CHARS = 1000  # characters in one count, so that count+1 still renders
 MAX_T = 1000  # largest e-mail-game truncation, a model of 2*MAX_T+1 states
 MAX_FILE_BYTES = 16 * 1024 * 1024  # largest model document read
@@ -48,7 +48,11 @@ def _hyper(text: str):
 
 
 def _split_csv(text: str) -> list:
-    return [token.strip() for token in text.split(",") if token.strip()]
+    """The nonempty entries of a comma list, at most MAX_RANGE of them."""
+    tokens = [token.strip() for token in text.split(",") if token.strip()]
+    if len(tokens) > MAX_RANGE:
+        raise UsageError(f"a comma list has more than {MAX_RANGE} entries")
+    return tokens
 
 
 def _hyper_list(text: str) -> list:

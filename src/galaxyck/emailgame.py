@@ -165,7 +165,7 @@ class EmailGameModel:
 def event_b() -> Event:
     """The event "the coordination game is in state b"; its complement is
     the single state (a,0,0)."""
-    return Event.from_predicate(lambda s: s.tag == "b", complement_witnesses=(STATE_A,))
+    return Event(lambda s: s.tag == "b", (STATE_A,))
 
 
 def truncated_model(T: int) -> AumannModel:

@@ -209,20 +209,21 @@ class Event:
     ``complement_witnesses`` lists every state OUTSIDE the event.  It is what
     makes subjective checks possible on infinite carriers, so there it must
     be finite and exhaustive; on a finite carrier, where given, every
-    operator checks that it is exactly the complement.
+    operator checks that it is exactly the complement.  Any iterable is
+    stored as a tuple, and a witness inside the event is rejected here.
     """
 
     contains: Callable[[Any], bool]
     complement_witnesses: Optional[tuple] = None
 
-    @classmethod
-    def from_predicate(
-        cls,
-        predicate: Callable[[Any], bool],
-        complement_witnesses: Optional[Iterable[State]] = None,
-    ) -> "Event":
-        witnesses = tuple(complement_witnesses) if complement_witnesses is not None else None
-        return cls(contains=predicate, complement_witnesses=witnesses)
+    def __post_init__(self) -> None:
+        if self.complement_witnesses is None:
+            return
+        witnesses = tuple(self.complement_witnesses)
+        object.__setattr__(self, "complement_witnesses", witnesses)
+        for x in witnesses:
+            if self.contains(x):
+                raise ValueError(f"complement witness {x!r} lies inside the event")
 
 
 def _finite_carrier(model: Any) -> bool:
@@ -244,7 +245,10 @@ def _members(model: Any, event: Any) -> frozenset:
     if not _finite_carrier(model):
         raise ValueError("event needs an explicit member set on an infinite carrier")
     members = frozenset(filter(event.contains, model.states))
-    _check_witnesses(model, event, members)
+    witnesses = event.complement_witnesses
+    # The table's keys carry their hashes: no state's __hash__ is called.
+    if witnesses is not None and set(witnesses) != model._cells[model.agents[0]].keys() - members:
+        raise ValueError("complement witnesses must list exactly the event's complement")
     return members
 
 
@@ -339,23 +343,6 @@ def reachability_relation(model: Any) -> SoritesRelation:
     return SoritesRelation(dist=model.metric)
 
 
-def _check_witnesses(model: Any, ev: Event, members: Optional[frozenset] = None) -> None:
-    """Witnesses, where given, must lie outside the event and, on a finite
-    carrier, be the states outside its ``members``; an infinite one needs them."""
-    witnesses = ev.complement_witnesses
-    if witnesses is None:
-        if members is None:
-            raise ValueError(
-                "subjective common knowledge on an infinite carrier needs complement witnesses"
-            )
-        return
-    for x in witnesses:
-        if ev.contains(x):
-            raise ValueError(f"complement witness {x!r} lies inside the event")
-    if members is not None and set(witnesses) != set(model.states) - members:
-        raise ValueError("complement witnesses must list exactly the event's complement")
-
-
 def ck_subjective(model: Any, event: Any, omega: State) -> bool:
     """Subjective test: nothing outside the event is at finite link distance.
 
@@ -383,11 +370,13 @@ def ck_region(model: Any, event: Any) -> Event:
         return Event(region.__contains__)
     # A set lists no witnesses, so its Event is rejected below.
     ev = event if isinstance(event, Event) else Event(_members(model, event).__contains__)
-    _check_witnesses(model, ev)
+    witnesses = ev.complement_witnesses
+    if witnesses is None:
+        raise ValueError(
+            "subjective common knowledge on an infinite carrier needs complement witnesses"
+        )
     rel = reachability_relation(model)
-    return Event.from_predicate(
-        lambda omega: not any(rel.related(x, omega) for x in ev.complement_witnesses)
-    )
+    return Event(lambda omega: not any(rel.related(x, omega) for x in witnesses))
 
 
 def meet(model: Any) -> tuple:

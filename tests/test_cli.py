@@ -270,6 +270,25 @@ def test_huge_sample_range_is_usage_error():
     ]
 
 
+@pytest.mark.parametrize(
+    "argv,entry",
+    [
+        (["emailgame", "equilibrium", "--finite-samples"], "0"),
+        (["emailgame", "equilibrium", "--huge-samples"], "w+0"),
+        (["emailgame", "monotone", "--samples"], "w+0"),
+        (["sorites", "demo", "--probes"], "w+0"),
+    ],
+    ids=["finite-samples", "huge-samples", "samples", "probes"],
+)
+def test_comma_lists_share_the_range_cap(argv, entry):
+    result = run_cli([*argv, ",".join([entry] * 10_001)])
+    assert result.code == 2
+    assert result.stdout == ""
+    assert result.stderr == "error: a comma list has more than 10000 entries\n"
+    # Empty entries are not counted.
+    assert cli._split_csv(",".join([entry] * 10_000) + ",,") == [entry] * 10_000
+
+
 def test_sorites_demo_verdicts():
     result = run_cli(["sorites", "demo", "--alpha", "w+0", "--probes", "10,1000000,w+0,w-5"])
     assert result.code == 0

@@ -265,7 +265,7 @@ def test_infinite_carrier_refuses_enumeration():
         game.closure(STATE_A)
     with pytest.raises(ValueError):
         ck_classical(game, event_b(), STATE_A)
-    bare_event = Event.from_predicate(lambda s: s.tag == "b")
+    bare_event = Event(lambda s: s.tag == "b")
     for event in (bare_event, frozenset({state_b(3)})):  # a set lists no witnesses either
         with pytest.raises(ValueError, match="needs complement witnesses"):
             ck_subjective(game, event, state_b(3))
@@ -276,10 +276,8 @@ def test_infinite_carrier_refuses_enumeration():
 
 
 def test_infinite_carrier_rejects_witness_inside_event():
-    game = EmailGameModel()
-    bad = Event.from_predicate(lambda s: s.tag == "b", complement_witnesses=(STATE_A, state_b(2)))
-    with pytest.raises(ValueError, match="inside the event"):
-        ck_subjective(game, bad, state_b(huge(1, 0)))
+    with pytest.raises(ValueError, match="inside the event"):  # raised when the Event is built
+        Event(lambda s: s.tag == "b", complement_witnesses=(STATE_A, state_b(2)))
 
 
 def test_ast_possibility():

@@ -16,13 +16,14 @@ from helpers import CASES, GOLDEN, subprocess_env
 
 
 def run_module(name, **env):
-    """Run golden case ``name`` as ``python -m galaxyck`` from ``golden/``;
-    require its golden exit code and stdout bytes."""
+    """Run golden case ``name`` as ``python -m galaxyck`` from ``golden/`` at
+    the goldens' width of 80 columns; require its golden exit code and stdout
+    bytes."""
     result = subprocess.run(
         [sys.executable, "-m", "galaxyck", *CASES[name]["argv"]],
         capture_output=True,
         cwd=GOLDEN,
-        env=subprocess_env(**env),
+        env=subprocess_env(COLUMNS="80", **env),
     )
     assert result.returncode == CASES[name]["exit"], result.stderr.decode()
     assert result.stdout == (GOLDEN / f"{name}.out").read_bytes()

@@ -98,7 +98,7 @@ def test_link_iter_matches_repeated_link_group_and_bfs_distances():
         table = {s: model.distances_from(s) for s in model.states}
         steps = range(len(model.states) + 2)  # past the diameter
         for event in helpers.all_events(model.states):
-            for ev in (event, Event.from_predicate(event.__contains__)):
+            for ev in (event, Event(event.__contains__)):
                 linked = event
                 for n in steps:
                     within = frozenset(
@@ -137,9 +137,11 @@ def test_one_agent_model():
     assert model.distances_from("s0") == {"s0": 0, "s1": 1}
     assert model.metric("s0", "s1") == finite(1)
     assert model.metric("s0", "s2") is None
+    witnessed = Event({"s0", "s1"}.__contains__, complement_witnesses=("s2",))
     for ck in (ck_classical, ck_subjective):
         assert ck(model, {"s0", "s1"}, "s0")
         assert not ck(model, {"s0"}, "s1")
+        assert ck(model, witnessed, "s0") and not ck(model, witnessed, "s2")
         with pytest.raises(ValueError, match="unknown agent/state pair"):
             ck(model, {"s0"}, "nope")
     for call in (lambda: model.distances_from("nope"), lambda: model.metric("s0", "nope")):
@@ -204,12 +206,12 @@ def test_knows_reads_the_event_once_per_state():
         return s.tag == "b"
 
     b_states = frozenset(s for s in model.states if s.tag == "b")
-    assert knows(model, 1, Event.from_predicate(is_b)) == b_states
+    assert knows(model, 1, Event(is_b)) == b_states
     assert len(asked) <= len(model.states) == 7
     # The group reads the event once, not once per agent.
     asked.clear()
     expected = knows(model, 1, b_states) & knows(model, 2, b_states)
-    assert knows_group(model, Event.from_predicate(is_b)) == expected
+    assert knows_group(model, Event(is_b)) == expected
     assert len(asked) == len(model.states)
 
 
@@ -257,7 +259,7 @@ def test_knows_matches_its_definition_over_the_raw_partitions():
             complement = tuple(s for s in model.states if s not in event)
             forms = (
                 event,
-                Event.from_predicate(event.__contains__),
+                Event(event.__contains__),
                 Event(event.__contains__, complement_witnesses=complement),
             )
             for agent in model.agents:
@@ -375,7 +377,7 @@ def test_finite_subjective_ck_never_searches(monkeypatch):
             complement = tuple(s for s in model.states if s not in event)
             for ev in (
                 event,
-                Event.from_predicate(event.__contains__),
+                Event(event.__contains__),
                 Event(event.__contains__, complement_witnesses=complement),
             ):
                 for omega in model.states:
@@ -384,32 +386,28 @@ def test_finite_subjective_ck_never_searches(monkeypatch):
 
 def test_ck_subjective_with_complement_witnesses():
     model = mail_chain_model()
-    b_event = Event.from_predicate(lambda s: s[0] == "b", complement_witnesses=(A,))
+    b_event = Event(lambda s: s[0] == "b", complement_witnesses=(A,))
     assert not ck_subjective(model, b_event, ("b", 3, 3))
-    carrier_event = Event.from_predicate(lambda s: True, complement_witnesses=())
+    carrier_event = Event(lambda s: True, complement_witnesses=())
     assert ck_subjective(model, carrier_event, A)
 
 
 def test_ck_subjective_rejects_bad_complement_witnesses():
-    # Every reader validates the witnesses, so none answers a bad event.
+    # A witness inside the event is rejected when the Event is built; every
+    # reader checks the rest on a finite carrier, so none answers a bad event.
     model = mail_chain_model()
-    inside = Event.from_predicate(lambda s: s[0] == "b", complement_witnesses=(A, ("b", 2, 2)))
+    with pytest.raises(ValueError, match="inside the event"):
+        Event(lambda s: s[0] == "b", complement_witnesses=(A, ("b", 2, 2)))
+    with pytest.raises(ValueError, match="inside the event"):
+        Event(lambda s: s.tag == "b", (STATE_A, state_b(2)))
     # Missing the only outside state would make B look like common knowledge.
-    short = Event.from_predicate(lambda s: s[0] == "b", complement_witnesses=())
-    stray = Event.from_predicate(lambda s: s[0] == "b", complement_witnesses=(A, ("c", 0, 0)))
+    short = Event(lambda s: s[0] == "b", complement_witnesses=())
+    stray = Event(lambda s: s[0] == "b", complement_witnesses=(A, ("c", 0, 0)))
     for ck in (ck_subjective, ck_classical):
-        with pytest.raises(ValueError, match="inside the event"):
-            ck(model, inside, ("b", 3, 3))
         with pytest.raises(ValueError, match="exactly the event's complement"):
             ck(model, short, ("b", 3, 3))
         with pytest.raises(ValueError, match="exactly the event's complement"):
             ck(model, stray, ("b", 3, 3))
-        with pytest.raises(ValueError, match="inside the event"):
-            ck(
-                truncated_model(3),
-                Event.from_predicate(lambda s: s.tag == "b", (STATE_A, state_b(2))),
-                state_b(3),
-            )
     readers = (
         ck_region,  # checks its event when the region is built, before any query
         lambda m, e: link_agent(m, 1, e),
@@ -419,29 +417,49 @@ def test_ck_subjective_rejects_bad_complement_witnesses():
         knows_group,
     )
     for read in readers:
-        for bad, message in ((inside, "inside the event"), (short, "exactly"), (stray, "exactly")):
-            with pytest.raises(ValueError, match=message):
+        for bad in (short, stray):
+            with pytest.raises(ValueError, match="exactly the event's complement"):
                 read(model, bad)
+
+
+def test_witnesses_are_frozen_whatever_iterable_gives_them():
+    # The witnesses are read once, when the Event is built: an iterator is
+    # not used up by a check before the complement search reads it.
+    def is_b(s):
+        return s.tag == "b"
+
+    queries = [(truncated_model(3), s) for s in truncated_model(3).states]
+    queries += [(EmailGameModel(), state_b(3)), (EmailGameModel(), state_b(huge(1, 0)))]
+    expected = [ck_subjective(model, Event(is_b, (STATE_A,)), s) for model, s in queries]
+    assert expected == [False] * 7 + [False, True]
+    for make in (lambda: (x for x in [STATE_A]), lambda: iter([STATE_A]), lambda: [STATE_A]):
+        verdicts = []
+        for model, s in queries:
+            event = Event(is_b, make())
+            verdicts.append(ck_subjective(model, event, s))
+            assert event == Event(is_b, (STATE_A,))
+            assert hash(event) == hash(Event(is_b, (STATE_A,)))
+        assert verdicts == expected
 
 
 def test_ck_region_checks_witnesses_once_per_region(monkeypatch):
     from galaxyck import epistemic
 
-    checked = []
-    check = epistemic._check_witnesses
+    read = []
+    members = epistemic._members
 
-    def counting_check(*args):
-        checked.append(args)
-        check(*args)
+    def counting_members(*args):
+        read.append(args)
+        return members(*args)
 
-    monkeypatch.setattr(epistemic, "_check_witnesses", counting_check)
+    monkeypatch.setattr(epistemic, "_members", counting_members)
     for n, T in enumerate((3, 10, 40), start=1):
         model = mail_chain_model(T)
-        b_event = Event.from_predicate(lambda s: s[0] == "b", complement_witnesses=(A,))
+        b_event = Event(lambda s: s[0] == "b", complement_witnesses=(A,))
         region = ck_region(model, b_event)
         for _ in range(3):
             assert not any(region.contains(omega) for omega in model.states)
-        assert len(checked) == n
+        assert len(read) == n
 
 
 def test_ck_region_membership():
@@ -464,7 +482,7 @@ def test_finite_ck_region_is_the_union_of_the_closures_inside_the_event():
             complement = tuple(s for s in model.states if s not in event)
             for ev in (
                 event,
-                Event.from_predicate(event.__contains__),
+                Event(event.__contains__),
                 Event(event.__contains__, complement_witnesses=complement),
             ):
                 region = ck_region(model, ev)
@@ -485,7 +503,7 @@ def test_ck_region_sweep_reads_a_predicate_once_per_state():
             asked.append(s)
             return predicate(s)
 
-        region = ck_region(model, Event.from_predicate(counting))
+        region = ck_region(model, Event(counting))
         verdicts = [region.contains(omega) for omega in model.states]
         assert verdicts == [predicate(STATE_A)] * len(model.states)
         assert len(asked) == len(model.states) == 201
@@ -598,7 +616,7 @@ def test_component_index_verdicts_match_bfs_closures():
         blocks, block_of = model.component_index()
         assert blocks == meet(model)
         for event in helpers.all_events(model.states):
-            predicate_only = Event.from_predicate(event.__contains__)
+            predicate_only = Event(event.__contains__)
             for omega in model.states:
                 closure = model.closure(omega)
                 assert block_of[omega] == closure
@@ -620,7 +638,7 @@ def test_union_find_runs_once_per_model():
                 assert model.component_index() is index
                 ck_subjective(model, event, omega)
                 assert model.component_index() is index
-                ck_subjective(model, Event.from_predicate(event.__contains__), omega)
+                ck_subjective(model, Event(event.__contains__), omega)
                 assert model.component_index() is index
         assert meet(model) is first
         assert model.component_index() is index

@@ -60,6 +60,11 @@ def run_limited(argv, cwd):
             ["emailgame", "equilibrium", "--finite-samples", "300000", "--huge-samples", "w+0"],
             id="equilibrium-large-finite",
         ),
+        pytest.param(
+            0,
+            ["emailgame", "equilibrium", "--huge-samples", ",".join(["w+0"] * 10_000)],
+            id="equilibrium-longest-huge-list",
+        ),
     ],
 )
 def test_longest_counts(code, argv, tmp_path):
