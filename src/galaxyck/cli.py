@@ -23,7 +23,7 @@ from .emailgame import (
 )
 from .epistemic import ModelFormatError, ck_classical, ck_subjective, meet, model_from_dict
 from .hypernat import finite, parse_hypernat
-from .reports import CheckReport, jsonable, render_json
+from .reports import CheckReport
 from .sorites import chain_relation
 
 EXIT_PASS, EXIT_FAIL, EXIT_USAGE, EXIT_INTERNAL = 0, 1, 2, 3
@@ -289,10 +289,7 @@ def main(argv: Optional[list] = None) -> int:
 
 def _render(report: CheckReport, extras: Optional[dict], fmt: str) -> str:
     if fmt == "json":
-        payload = report.to_dict()
-        if extras:
-            payload.update(jsonable(extras))
-        return render_json(payload)
+        return report.to_json(extras)
     lines = [report.to_text()]
     if extras and "meet" in extras:
         lines.append("meet:")

@@ -69,14 +69,16 @@ def _as_count(value: Union[int, HyperNat]) -> HyperNat:
 class EmailGameState:
     """A state ``(tag, t, t')`` with ``t' = t - delta``; ``t`` may be huge.
 
-    States compare by ``(tag, t, delta)``.  The hash is computed once, at
-    construction: states are hashed on every cell and set lookup.
+    States compare by ``(tag, t, delta)``.  The hash and the label
+    ``(tag,t,t')`` are computed once, at construction: states are hashed on
+    every cell and set lookup, and labelled in every report that lists them.
     """
 
     tag: str
     t: HyperNat
     delta: int
     _hash: int = field(init=False, repr=False, compare=False)
+    _label: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.tag not in ("a", "b"):
@@ -90,6 +92,12 @@ class EmailGameState:
         if self.tag == "b" and self.t < _ONE:
             raise ValueError("b-states need t >= 1")
         object.__setattr__(self, "_hash", hash((self.tag, self.t, self.delta)))
+        t = self.t
+        if t.omega_coeff == 0:  # finite: the label straight from the offset
+            label = f"({self.tag},{t.offset},{t.offset - self.delta})"
+        else:
+            label = f"({self.tag},{t},{self.t_prime})"
+        object.__setattr__(self, "_label", label)
 
     def __hash__(self) -> int:
         return self._hash
@@ -103,10 +111,7 @@ class EmailGameState:
         return self.t - _ONE if self.delta else self.t
 
     def __str__(self) -> str:
-        t = self.t
-        if t.omega_coeff == 0:  # finite: the label straight from the offset
-            return f"({self.tag},{t.offset},{t.offset - self.delta})"
-        return f"({self.tag},{t},{self.t_prime})"
+        return self._label
 
 
 STATE_A = EmailGameState("a", _ZERO, 0)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any
+from typing import Any, Optional
 
 __all__ = ["CaseResult", "CheckReport", "jsonable", "render_json"]
 
@@ -21,6 +21,21 @@ _canonical_json = json.JSONEncoder(sort_keys=True).encode
 _int_text = int.__repr__
 _INF = float("inf")
 
+# Types with a branch of their own in jsonable; any other value renders by str.
+_NOT_BY_STR = (type(None), str, int, float, dict, set, frozenset, list, tuple, Fraction)
+
+# The keys of CheckReport.to_dict(), which extras may not repeat.
+_REPORT_KEYS = frozenset({"check", "params", "cases", "pass"})
+
+# The line starts of a report's keys, of its cases and of a case's keys.
+_NL1, _NL2, _NL3 = "\n  ", "\n    ", "\n      "
+
+
+def _one_str_type(members) -> bool:
+    """Do the members of a set share one type that jsonable renders by str?"""
+    kinds = set(map(type, members))
+    return len(kinds) == 1 and not issubclass(kinds.pop(), _NOT_BY_STR)
+
 
 def jsonable(value: Any) -> Any:
     """Render a payload as JSON-native data with a stable ordering.
@@ -34,15 +49,9 @@ def jsonable(value: Any) -> Any:
     if isinstance(value, dict):
         return {str(k): jsonable(v) for k, v in value.items()}
     if isinstance(value, (set, frozenset)):
-        kinds = set(map(type, value))
         # Members all of one type that no branch here matches would each
         # fall through to str: render them with one map.
-        if len(kinds) == 1 and not issubclass(
-            kinds.pop(), (type(None), str, int, float, dict, set, frozenset, list, tuple, Fraction)
-        ):
-            rendered = list(map(str, value))
-        else:
-            rendered = [jsonable(v) for v in value]
+        rendered = list(map(str, value)) if _one_str_type(value) else [jsonable(v) for v in value]
         try:
             return sorted(rendered, key=_encode_str)
         except TypeError:  # a member that is not a string
@@ -113,6 +122,29 @@ def _render(value: Any, newline: str) -> str:
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
+def _write(value: Any, newline: str) -> str:
+    """The text of ``_render(jsonable(value), newline)``, written without
+    jsonable's tree for a string, a dict or a set of one str-rendered type."""
+    if type(value) is str:
+        return _encode_str(value)
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = newline + "  "
+        # Keys through str first: two keys with one text keep the last value,
+        # as in jsonable.
+        items = [
+            f"{_encode_str(k)}: {_write(v, inner)}"
+            for k, v in {str(k): v for k, v in value.items()}.items()
+        ]
+        return f"{{{inner}{(',' + inner).join(items)}{newline}}}"
+    if isinstance(value, (set, frozenset)) and _one_str_type(value):
+        # Each label escaped once, and sorted by that text, as jsonable sorts.
+        inner = newline + "  "
+        return f"[{inner}{(',' + inner).join(sorted(map(_encode_str, map(str, value))))}{newline}]"
+    return _render(jsonable(value), newline)
+
+
 @dataclass
 class CaseResult:
     """One checked case: what was asked, what was expected, what happened."""
@@ -156,8 +188,33 @@ class CheckReport:
             "pass": self.passed,
         }
 
-    def to_json(self) -> str:
-        return render_json(self.to_dict())
+    def to_json(self, extras: Optional[dict] = None) -> str:
+        """``render_json(self.to_dict())``, with the keys of
+        ``jsonable(extras)`` after the report's own, written in one pass
+        from the cases.  ``to_dict()`` and ``render_json`` are its
+        reference.  An extra key that repeats one of the report's own keys
+        raises ValueError."""
+        rows = [
+            f'{{{_NL3}"input": {_write(case.input, _NL3)},'
+            f'{_NL3}"expected": {_write(case.expected, _NL3)},'
+            f'{_NL3}"actual": {_write(case.actual, _NL3)},'
+            f'{_NL3}"pass": {"true" if case.passed else "false"}{_NL2}}}'
+            for case in self.cases
+        ]
+        cases = f"[{_NL2}{(',' + _NL2).join(rows)}{_NL1}]" if rows else "[]"
+        fields = [
+            f'"check": {_render(self.check, _NL1)}',
+            f'"params": {_write(self.params, _NL1)}',
+            f'"cases": {cases}',
+            f'"pass": {"true" if self.passed else "false"}',
+        ]
+        if extras:
+            extras = {str(k): v for k, v in extras.items()}
+            clash = _REPORT_KEYS.intersection(extras)
+            if clash:
+                raise ValueError(f"extra keys {sorted(clash)} repeat the report's own keys")
+            fields += [f"{_encode_str(k)}: {_write(v, _NL1)}" for k, v in extras.items()]
+        return f"{{{_NL1}{(',' + _NL1).join(fields)}\n}}"
 
     def to_text(self) -> str:
         lines = [f"check: {self.check}"]

@@ -90,6 +90,7 @@ def test_emailgame_impossibility():
     assert payload["params"] == {"T": 5}
     assert payload["pass"] is True
     assert run_cli(["emailgame", "impossibility", "--T", "0"]).code == 2
+    assert run_cli(["emailgame", "impossibility", "--T", "1"]).code == 0
 
 
 def test_impossibility_truncation_cap(monkeypatch):
@@ -121,6 +122,25 @@ def test_model_file_size_cap(monkeypatch, model_file):
     assert result.code == 2
     assert result.stdout == ""
     assert result.stderr == f"error: {model_file}: larger than {size - 1} bytes\n"
+
+
+def test_model_file_read_stops_one_chunk_past_the_cap(monkeypatch):
+    class Endless(io.BytesIO):
+        """A file of spaces that never ends and counts the bytes it serves."""
+
+        served = 0
+
+        def read(self, size=-1):
+            assert size > 0
+            self.served += size
+            return b" " * size
+
+    stream = Endless()
+    monkeypatch.setattr(cli, "open", lambda path, mode: stream, raising=False)
+    monkeypatch.setattr(cli, "MAX_FILE_BYTES", 10)
+    with pytest.raises(cli.UsageError, match="larger than 10 bytes"):
+        cli._load_json("endless.json")
+    assert 10 < stream.served <= 10 + 64 * 1024
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="needs an endless file")
@@ -159,6 +179,7 @@ def test_emailgame_ast_ck():
     assert run_cli(["emailgame", "ast-ck", "--t", "w+0"]).code == 0
     assert run_cli(["emailgame", "ast-ck", "--t", "2*w+0"]).code == 0
     assert run_cli(["emailgame", "ast-ck", "--t", "3"]).code == 1
+    assert run_cli(["emailgame", "ast-ck", "--t", "1"]).code == 1  # the least count allowed
     assert run_cli(["emailgame", "ast-ck", "--t", "0"]).code == 2
     assert run_cli(["emailgame", "ast-ck", "--t", "blah"]).code == 2
 
@@ -228,6 +249,7 @@ _GRAMMAR_HINT = "as a hyper-natural (try 7, w+0, w-5 or 2*w+0)"
         (("--finite-samples", "0..w+0"), "error: w+0 is not a finite sample"),
         (("--finite-samples", "x..3"), f"error: cannot parse 'x' {_GRAMMAR_HINT}"),
         (("--finite-samples", "1" * 1001), "error: a count has at most 1000 characters, got 1001"),
+        (("--finite-samples", "0..1..2"), f"error: cannot parse '1..2' {_GRAMMAR_HINT}"),
     ],
 )
 def test_equilibrium_count_tiers_are_usage_errors(option, line):
@@ -257,6 +279,8 @@ def test_equilibrium_audit_error_is_internal(monkeypatch):
 
 def test_int_samples_caps_ranges():
     assert cli._finite_samples("0..9999") == list(range(10_000))
+    assert cli._finite_samples("3..3") == [3]
+    assert cli._finite_samples("10000..19999") == list(range(10_000, 20_000))
     with pytest.raises(cli.UsageError, match="more than 10000 counts"):
         cli._finite_samples("0..10000")
 

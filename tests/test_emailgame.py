@@ -2,7 +2,8 @@ import copy
 import pickle
 import subprocess
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
+from dataclasses import fields as dataclass_fields
 from fractions import Fraction
 
 import hypothesis.strategies as st
@@ -219,6 +220,21 @@ def test_state_label_is_tag_t_and_t_prime(t, delta):
 def test_state_copy_and_pickle_round_trip(s):
     for clone in (copy.deepcopy(s), pickle.loads(pickle.dumps(s))):
         assert clone == s and hash(clone) == hash(s) and clone in {s}
+
+
+@given(states, counts, st.integers(0, 1))
+def test_state_label_is_built_once_and_follows_every_copy(s, t, delta):
+    # The label is built at construction: a copy, a pickle or a replace()
+    # must carry the label of its own fields.
+    assert str(s) == f"({s.tag},{s.t},{s.t - s.delta})"
+    clones = (copy.copy(s), copy.deepcopy(s), pickle.loads(pickle.dumps(s)), replace(s))
+    for clone in clones:
+        assert str(clone) == str(s) and clone == s and hash(clone) == hash(s)
+    if s.tag == "b":
+        moved = replace(s, t=t, delta=delta)
+        assert str(moved) == f"(b,{t},{t - delta})" and moved == state_b(t, delta)
+    assert repr(s) == f"EmailGameState(tag={s.tag!r}, t={s.t!r}, delta={s.delta!r})"
+    assert [f.name for f in dataclass_fields(s) if f.compare] == ["tag", "t", "delta"]
 
 
 def test_pickled_state_rehashes_in_another_process():

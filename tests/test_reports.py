@@ -212,6 +212,47 @@ def test_to_json_is_json_dumps_of_to_dict(report):
     assert report.to_json() == json.dumps(report.to_dict(), indent=2)
 
 
+OWN_KEYS = ("check", "params", "cases", "pass")
+# Leaves: scalars, Fractions, states and counts, sets of finite and huge
+# states, mixed-type sets.
+report_values = st.recursive(
+    scalars
+    | st.fractions(max_denominator=50)
+    | set_members[0]
+    | hypernats
+    | st.frozensets(set_members[0], max_size=8)
+    | st.frozensets(st.one_of(*set_members), max_size=4),
+    lambda children: st.lists(children, max_size=2)
+    | st.tuples(children, children)
+    | st.dictionaries(text | st.integers(-2, 2), children, max_size=2),
+    max_leaves=6,
+)
+report_cases = st.lists(st.tuples(report_values, report_values, report_values, st.booleans()), max_size=3)
+extras = st.dictionaries(
+    (text | st.integers(-2, 2)).filter(lambda k: str(k) not in OWN_KEYS), report_values, max_size=3
+)
+
+
+@given(
+    text,
+    st.dictionaries(text, report_values, max_size=3),
+    report_cases,
+    extras,
+    st.none() | st.sampled_from(OWN_KEYS),
+)
+def test_to_json_with_extras_is_json_dumps_of_to_dict(check, params, cases, extra, clash):
+    report = CheckReport(check, params)
+    for case in cases:
+        report.add(*case)
+    expected = json.dumps({**report.to_dict(), **jsonable(extra)}, indent=2)
+    assert report.to_json(extra) == expected
+    if not extra:
+        assert report.to_json() == expected
+    if clash is not None:
+        with pytest.raises(ValueError, match="repeat the report's own keys"):
+            report.to_json({**extra, clash: "x"})
+
+
 @pytest.mark.parametrize("report", _reports(), ids=lambda r: r.check)
 def test_to_text_matches_json_dumps_sort_keys(report):
     def canonical(value):

@@ -38,7 +38,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-MODULES = ("hypernat", "sorites", "epistemic", "emailgame", "reports")
+MODULES = ("hypernat", "sorites", "epistemic", "emailgame", "reports", "cli")
 TIMEOUT_S = 900  # a mutant that hangs the suite this long counts as killed
 
 # Mutant id -> why no input can tell the mutant from the original.
@@ -51,6 +51,10 @@ EQUIVALENT = {
         "a huge cell's prescribed and deviation payoffs never tie",
     "emailgame.best_response_check: dev > pres -> dev >= pres":
         "a huge cell's prescribed and deviation payoffs never tie",
+    "cli.cmd_model_check: args.mode == 'classical' -> args.mode != 'classical'":
+        "a model file gives a finite carrier, where ck_classical and ck_subjective both call _ck_finite",
+    "cli.cmd_sorites_demo: finite(1) -> finite(2)":
+        "1 and 2 are a finite gap apart, so every index is related to both or to neither",
 }
 
 SWAPS = {
