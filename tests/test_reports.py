@@ -227,7 +227,9 @@ report_values = st.recursive(
     | st.dictionaries(text | st.integers(-2, 2), children, max_size=2),
     max_leaves=6,
 )
-report_cases = st.lists(st.tuples(report_values, report_values, report_values, st.booleans()), max_size=3)
+report_cases = st.lists(
+    st.tuples(report_values, report_values, report_values, st.booleans()), max_size=3
+)
 extras = st.dictionaries(
     (text | st.integers(-2, 2)).filter(lambda k: str(k) not in OWN_KEYS), report_values, max_size=3
 )

@@ -52,7 +52,7 @@ EQUIVALENT = {
     "emailgame.best_response_check: dev > pres -> dev >= pres":
         "a huge cell's prescribed and deviation payoffs never tie",
     "cli.cmd_model_check: args.mode == 'classical' -> args.mode != 'classical'":
-        "a model file gives a finite carrier, where ck_classical and ck_subjective both call _ck_finite",
+        "a model file's carrier is finite, where both CK tests are one _ck_finite call",
     "cli.cmd_sorites_demo: finite(1) -> finite(2)":
         "1 and 2 are a finite gap apart, so every index is related to both or to neither",
 }
@@ -177,9 +177,17 @@ def main(argv=None) -> int:
     parser.add_argument("--only", nargs="+", metavar="MODULE.FUNCTION",
                         help="mutate only these functions (Class.method for a method)")
     args = parser.parse_args(argv)
+    if args.only:  # a misspelt name would otherwise narrow the probe unseen
+        known = set()
+        for module in MODULES:
+            tree = ast.parse((ROOT / "src" / "galaxyck" / f"{module}.py").read_bytes())
+            known.update(f"{module}.{qualname}" for qualname, _ in _functions(tree))
+        unknown = [name for name in args.only if name not in known]
+        if unknown:
+            parser.error(f"no such function: {' '.join(unknown)}")
     todo = [m for module in MODULES for m in mutants(module, args.only)]
     if not todo:
-        parser.error("no function matches --only")
+        parser.error("the functions given to --only have no mutant")
     jobs = min(os.cpu_count() or 1, len(todo))
     copies: queue.Queue = queue.Queue()
     with tempfile.TemporaryDirectory() as tmp:
