@@ -1,14 +1,15 @@
 """Partition models of interactive knowledge.
 
 An :class:`AumannModel` is an explicit finite carrier with one partition per
-agent, stored once as a table ``state -> cell`` per agent: ``cell``, the
-breadth-first walks, the union-find meet and ``knows`` all read it.  The
+agent, stored once as a table ``state -> cell`` per agent: ``cell``,
+``link_iter``, the union-find meet and ``knows`` all read it.  The
 link of an event through an agent's partition collects every state sharing
 a cell with the event; iterating the group link induces a breadth-first
 metric whose connected components are the carrier's reachability classes.
 Both walks are linear in the states they reach: ``link_iter`` takes the
 n-fold link as one multi-source frontier walk that reads each reached
-state's cells once, and ``distances_from`` reads the cell tables directly.
+state's cells once, and ``distances_from`` walks state ids over an int
+copy of the tables that each model builds on its first walk and caches.
 On top of that sit the knowledge operators and two common-knowledge tests:
 the classical one (the closure of the true state lies inside the event) and
 the subjective one (nothing outside the event is at finite link distance
@@ -98,6 +99,7 @@ class AumannModel:
                 raise ValueError(f"agent {agent!r} partitions a different carrier")
         self._states = tuple(sorted(self._cells[self._agents[0]], key=str))
         self._index: Optional[tuple] = None
+        self._adjacency: Optional[tuple] = None
 
     @property
     def agents(self) -> tuple:
@@ -123,27 +125,38 @@ class AumannModel:
     def distances_from(self, origin: State) -> dict:
         """Breadth-first link distances from ``origin`` as plain ints.
 
-        Unreachable states are simply absent.  Each state is assigned on its
-        first visit, so layer indices are unique by construction.  The walk
-        reads the cell tables directly rather than through :meth:`cell`,
-        whose call per read slowed the breadth-first checks measurably.
+        Unreachable states are simply absent, and the states come in the
+        order the walk first visits them.  The walk runs on state ids, the
+        positions in :attr:`states`: on first use each agent's table becomes
+        a list of cells by id, each cell a tuple of member ids, cached on
+        the model.  So the walk itself hashes no state.
         """
         self.cell(self._agents[0], origin)  # validates the state
-        tables = tuple(self._cells.values())
-        dist = {origin: 0}
-        frontier = [origin]
-        layer = 0
-        while frontier:
-            layer += 1
-            next_frontier = []
-            for s in frontier:
-                for table in tables:
-                    for t in table[s]:
-                        if t not in dist:
-                            dist[t] = layer
-                            next_frontier.append(t)
-            frontier = next_frontier
-        return dist
+        states = self._states
+        if self._adjacency is None:
+            ids = {s: i for i, s in enumerate(states)}
+            rows = []
+            for table in self._cells.values():
+                row = [None] * len(states)
+                for cell in dict.fromkeys(table.values()):
+                    members = tuple(map(ids.__getitem__, cell))
+                    for i in members:
+                        row[i] = members
+                rows.append(row)
+            self._adjacency = (ids, tuple(rows))
+        ids, rows = self._adjacency
+        start = ids[origin]
+        dist = [None] * len(states)
+        dist[start] = 0
+        order = [start]
+        for i in order:  # the queue: states are appended as they are reached
+            layer = dist[i] + 1
+            for row in rows:
+                for j in row[i]:
+                    if dist[j] is None:
+                        dist[j] = layer
+                        order.append(j)
+        return dict(zip(map(states.__getitem__, order), map(dist.__getitem__, order)))
 
     def metric(self, x: State, y: State) -> Optional[HyperNat]:
         """Link distance, or None when ``y`` is unreachable from ``x``."""

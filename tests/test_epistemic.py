@@ -577,7 +577,9 @@ def _assert_model_matches_raw_partitions(model, partitions):
         for s in model.states:
             assert model.cell(agent, s) == helpers.raw_cell(partitions, agent, s)
     for s in model.states:
-        assert model.distances_from(s) == helpers.raw_distances(partitions, s)
+        dist = model.distances_from(s)
+        assert dist == helpers.raw_distances(partitions, s)
+        assert list(dist.values()) == sorted(dist.values())  # in visit order
     components = helpers.raw_components(partitions)
     assert set(model.components()) == components
     assert set(model.component_index()[0]) == components
@@ -608,6 +610,18 @@ def test_cell_table_matches_a_search_over_the_raw_partitions():
     _assert_model_matches_raw_partitions(
         model, {spec["name"]: spec["partition"] for spec in doc["agents"]}
     )
+    # Ints and a tuple: the str order that numbers the states is neither the
+    # input order nor the numeric one, and five components keep most
+    # states unreached from any one origin.
+    partitions = {
+        "ann": [[10, 2], [0], [1, (0, 1)], [11, 3], [4], [5, 7], [6], [8], [9]],
+        "bob": [[2], [10, 0], [1], [(0, 1)], [4, 11], [3], [6, 5], [7], [8], [9]],
+        "cy": [[0, 1], [2], [10], [(0, 1)], [3], [4], [11], [5], [6], [7], [9], [8]],
+    }
+    model = AumannModel(list(partitions), partitions)
+    assert model.states[:4] == ((0, 1), 0, 1, 10)
+    assert len(helpers.raw_components(partitions)) == 5
+    _assert_model_matches_raw_partitions(model, partitions)
 
 
 def test_component_index_verdicts_match_bfs_closures():

@@ -65,6 +65,7 @@ def run_limited(argv, cwd):
             ["emailgame", "equilibrium", "--huge-samples", ",".join(["w+0"] * 10_000)],
             id="equilibrium-longest-huge-list",
         ),
+        pytest.param(0, ["emailgame", "impossibility", "--T", "1000"], id="impossibility-max-T"),
     ],
 )
 def test_longest_counts(code, argv, tmp_path):
