@@ -92,11 +92,13 @@ class EmailGameState:
         if self.tag == "b" and self.t < _ONE:
             raise ValueError("b-states need t >= 1")
         object.__setattr__(self, "_hash", hash((self.tag, self.t, self.delta)))
-        t = self.t
-        if t.omega_coeff == 0:  # finite: the label straight from the offset
-            label = f"({self.tag},{t.offset},{t.offset - self.delta})"
+        # Both counts written from t's fields: t' = t - delta has t's head.
+        coeff, offset = self.t.omega_coeff, self.t.offset
+        if coeff == 0:
+            label = f"({self.tag},{offset},{offset - self.delta})"
         else:
-            label = f"({self.tag},{t},{self.t_prime})"
+            head = "w" if coeff == 1 else f"{coeff}*w"
+            label = f"({self.tag},{head}{offset:+d},{head}{offset - self.delta:+d})"
         object.__setattr__(self, "_label", label)
 
     def __hash__(self) -> int:

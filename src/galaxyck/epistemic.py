@@ -8,8 +8,12 @@ a cell with the event; iterating the group link induces a breadth-first
 metric whose connected components are the carrier's reachability classes.
 Both walks are linear in the states they reach: ``link_iter`` takes the
 n-fold link as one multi-source frontier walk that reads each reached
-state's cells once, and ``distances_from`` walks state ids over an int
-copy of the tables that each model builds on its first walk and caches.
+state's cells once, and the breadth-first walk runs on state ids over an
+int copy of the tables that each model builds on its first walk and caches.
+That one id walk returns the visit order and a list of distances by id, and
+each of ``distances_from``, ``closure``, ``components`` and ``metric`` maps
+back to states only what it returns: a ``state -> int`` dict in visit
+order, one frozenset per closure or component, one distance.
 On top of that sit the knowledge operators and two common-knowledge tests:
 the classical one (the closure of the true state lies inside the event) and
 the subjective one (nothing outside the event is at finite link distance
@@ -122,31 +126,36 @@ class AumannModel:
         except KeyError:
             raise ValueError(f"unknown agent/state pair ({agent!r}, {state!r})") from None
 
-    def distances_from(self, origin: State) -> dict:
-        """Breadth-first link distances from ``origin`` as plain ints.
-
-        Unreachable states are simply absent, and the states come in the
-        order the walk first visits them.  The walk runs on state ids, the
-        positions in :attr:`states`: on first use each agent's table becomes
-        a list of cells by id, each cell a tuple of member ids, cached on
-        the model.  So the walk itself hashes no state.
-        """
-        self.cell(self._agents[0], origin)  # validates the state
-        states = self._states
+    def _int_adjacency(self) -> tuple:
+        """The state ids, ``state -> position in states``, and per agent a
+        list by id of each state's cell as a tuple of member ids (one tuple
+        per cell, shared by its members).  Built on first use and cached."""
         if self._adjacency is None:
-            ids = {s: i for i, s in enumerate(states)}
+            ids = {s: i for i, s in enumerate(self._states)}
             rows = []
             for table in self._cells.values():
-                row = [None] * len(states)
+                row = [None] * len(ids)
                 for cell in dict.fromkeys(table.values()):
                     members = tuple(map(ids.__getitem__, cell))
                     for i in members:
                         row[i] = members
                 rows.append(row)
             self._adjacency = (ids, tuple(rows))
-        ids, rows = self._adjacency
-        start = ids[origin]
-        dist = [None] * len(states)
+        return self._adjacency
+
+    def _id(self, state: State) -> int:
+        """The position of ``state`` in :attr:`states`."""
+        i = self._int_adjacency()[0].get(state)
+        if i is None:
+            self.cell(self._agents[0], state)  # raises: not a state of the model
+        return i
+
+    def _walk(self, start: int) -> tuple:
+        """The breadth-first walk from state id ``start`` over the cached
+        adjacency: the reached ids in the order first visited, and the link
+        distances by id, None where unreached.  It hashes no state."""
+        rows = self._int_adjacency()[1]
+        dist = [None] * len(self._states)
         dist[start] = 0
         order = [start]
         for i in order:  # the queue: states are appended as they are reached
@@ -156,30 +165,39 @@ class AumannModel:
                     if dist[j] is None:
                         dist[j] = layer
                         order.append(j)
-        return dict(zip(map(states.__getitem__, order), map(dist.__getitem__, order)))
+        return order, dist
+
+    def distances_from(self, origin: State) -> dict:
+        """Breadth-first link distances from ``origin`` as plain ints.
+
+        Unreachable states are simply absent, and the states come in the
+        order the walk first visits them.
+        """
+        order, dist = self._walk(self._id(origin))
+        return dict(zip(map(self._states.__getitem__, order), map(dist.__getitem__, order)))
 
     def metric(self, x: State, y: State) -> Optional[HyperNat]:
         """Link distance, or None when ``y`` is unreachable from ``x``."""
-        dist = self.distances_from(x)
-        if y not in dist:
-            self.cell(self._agents[0], y)  # unknown state, not just unreachable
-            return None
-        return finite(dist[y])
+        i, j = self._id(x), self._id(y)
+        d = self._walk(i)[1][j]
+        return None if d is None else finite(d)
 
     def closure(self, state: State) -> frozenset:
         """All states reachable from ``state`` through chains of cells."""
-        return frozenset(self.distances_from(state))
+        return frozenset(map(self._states.__getitem__, self._walk(self._id(state))[0]))
 
     def components(self) -> tuple:
         """Reachability components, via breadth-first closures."""
-        seen: set = set()
+        states = self._states
+        seen = [False] * len(states)
         comps = []
-        for s in self._states:
-            if s in seen:
+        for i in range(len(states)):
+            if seen[i]:
                 continue
-            comp = self.closure(s)
-            seen |= comp
-            comps.append(comp)
+            order = self._walk(i)[0]
+            for j in order:
+                seen[j] = True
+            comps.append(frozenset(map(states.__getitem__, order)))
         return tuple(comps)
 
     def component_index(self) -> tuple:

@@ -216,6 +216,15 @@ def test_state_label_is_tag_t_and_t_prime(t, delta):
         assert str(s) == f"({s.tag},{s.t},{s.t_prime})"
 
 
+@pytest.mark.parametrize("coeff", [1, 2, 36])
+def test_huge_state_label_around_offset_zero(coeff):
+    # The label is written from t's fields; the HyperNat t - d is the reference.
+    for offset in range(-3, 4):
+        t = huge(coeff, offset)
+        for d in (0, 1):
+            assert str(state_b(t, d)) == f"(b,{t},{t - d})"
+
+
 @given(states)
 def test_state_copy_and_pickle_round_trip(s):
     for clone in (copy.deepcopy(s), pickle.loads(pickle.dumps(s))):

@@ -577,9 +577,13 @@ def _assert_model_matches_raw_partitions(model, partitions):
         for s in model.states:
             assert model.cell(agent, s) == helpers.raw_cell(partitions, agent, s)
     for s in model.states:
+        raw = helpers.raw_distances(partitions, s)
         dist = model.distances_from(s)
-        assert dist == helpers.raw_distances(partitions, s)
+        assert dist == raw
         assert list(dist.values()) == sorted(dist.values())  # in visit order
+        assert model.closure(s) == raw.keys()
+        for t in model.states:
+            assert model.metric(s, t) == raw.get(t)  # None where unreached
     components = helpers.raw_components(partitions)
     assert set(model.components()) == components
     assert set(model.component_index()[0]) == components

@@ -6,11 +6,13 @@ its exit code (0, 1 or 2, never 3) and no traceback; a child that exceeds a
 cap is killed by a signal or fails with ``MemoryError``, and so fails here.
 """
 
+import json
 import subprocess
 import sys
 
 import pytest
 
+from galaxyck.cli import MAX_FILE_BYTES
 from helpers import CASES, GOLDEN, subprocess_env
 
 # Sets the caps, then runs galaxyck as ``-m`` would, with the same argv.
@@ -25,6 +27,7 @@ LIMITED_MAIN = (
 FINITE = "9" * 1000
 HUGE = "9" * 498 + "*w-" + "9" * 499
 DEEP = 100_000  # nesting of the JSON array given as a model file
+DIGITS = "0123456789abcdefghijklmnopqrstuvwxyz"
 
 
 def run_limited(argv, cwd):
@@ -79,6 +82,39 @@ def test_deepest_json_model_is_a_usage_error(tmp_path):
     result = run_limited(argv, tmp_path)
     assert result.returncode == 2
     assert result.stderr.decode().startswith("error: deep.json: invalid JSON:")
+
+
+def _base36(i):
+    name = DIGITS[i % 36]
+    while i >= 36:
+        i //= 36
+        name = DIGITS[i % 36] + name
+    return name
+
+
+def _pairs(names):
+    return [names[i : i + 2] for i in range(0, len(names), 2)]
+
+
+def test_model_just_under_the_file_cap(tmp_path):
+    # 560 000 states named in base 36, two agents whose cells of two chain
+    # them all together, and E = every other state: E is not common
+    # knowledge at state 0, so the check fails with exit 1.
+    names = [_base36(i) for i in range(560_000)]
+    doc = {
+        "states": names,
+        "agents": [
+            {"name": "a", "partition": _pairs(names)},
+            {"name": "b", "partition": [names[:1]] + _pairs(names[1:])},
+        ],
+        "events": {"E": names[::2]},
+    }
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc), encoding="ascii")
+    del names, doc
+    assert MAX_FILE_BYTES - (1 << 20) < path.stat().st_size <= MAX_FILE_BYTES
+    argv = ["model", "check", "--file", path.name, "--event", "E", "--state", "0"]
+    assert run_limited(argv, tmp_path).returncode == 1
 
 
 def test_unencodable_state_name_in_text_mode():
