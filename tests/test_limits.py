@@ -111,7 +111,7 @@ def test_model_just_under_the_file_cap(tmp_path):
     }
     path = tmp_path / "model.json"
     path.write_text(json.dumps(doc), encoding="ascii")
-    del names, doc
+    del names, doc  # not held while the child runs
     assert MAX_FILE_BYTES - (1 << 20) < path.stat().st_size <= MAX_FILE_BYTES
     argv = ["model", "check", "--file", path.name, "--event", "E", "--state", "0"]
     assert run_limited(argv, tmp_path).returncode == 1
