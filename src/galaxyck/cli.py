@@ -111,8 +111,10 @@ def cmd_model_check(args) -> tuple:
         raise UsageError(f"{args.file}: {exc}") from None
     if args.event not in events:
         raise UsageError(f"unknown event {args.event!r}; file defines {sorted(events)}")
-    if args.state not in model.states:
-        raise UsageError(f"unknown state {args.state!r}")
+    try:
+        model.cell(model.agents[0], args.state)
+    except ValueError:
+        raise UsageError(f"unknown state {args.state!r}") from None
     event = events[args.event]
     if args.mode == "classical":
         verdict = ck_classical(model, event, args.state)

@@ -2,18 +2,21 @@
 
 An :class:`AumannModel` is an explicit finite carrier with one partition per
 agent, stored once as a table ``state -> cell`` per agent: ``cell``,
-``link_iter``, the union-find meet and ``knows`` all read it.  The
-link of an event through an agent's partition collects every state sharing
-a cell with the event; iterating the group link induces a breadth-first
-metric whose connected components are the carrier's reachability classes.
-Both walks are linear in the states they reach: ``link_iter`` takes the
-n-fold link as one multi-source frontier walk that reads each reached
-state's cells once, and the breadth-first walk runs on state ids over an
-int copy of the tables that each model builds on its first walk and caches.
-That one id walk returns the visit order and a list of distances by id, and
-each of ``distances_from``, ``closure``, ``components`` and ``metric`` maps
-back to states only what it returns: a ``state -> int`` dict in visit
-order, one frozenset per closure or component, one distance.
+``partition`` and the union-find meet read it, and ``partition`` lists an
+agent's cells once, on first use, and caches the tuple.  ``knows`` keeps the
+cached cells that the event's member set is a superset of.  The link of an
+event through an agent's partition collects every state sharing a cell with
+the event; iterating the group link induces a breadth-first metric whose
+connected components are the carrier's reachability classes.  On a finite
+carrier both walks run on state ids over an int copy of the tables that
+each model builds on its first walk and caches, and both are linear in the
+states they reach.
+One id walk, from one or several start ids and ``n`` steps deep where
+given, returns the visit order and a list of distances by id, and each
+caller maps back to states only what it returns: ``distances_from`` a
+``state -> int`` dict in visit order, ``closure`` and ``components`` one
+frozenset each, ``metric`` one distance, and ``link_iter`` the states it
+adds to the event.
 On top of that sit the knowledge operators and two common-knowledge tests:
 the classical one (the closure of the true state lies inside the event) and
 the subjective one (nothing outside the event is at finite link distance
@@ -25,7 +28,8 @@ read that index; they are its oracles.
 
 Infinite carriers can stand in for an ``AumannModel`` wherever closed forms
 exist: such a model must expose ``agents``, ``cell(agent, state)`` and
-``metric(x, y)`` and advertise ``states = None``.  Only there does the
+``metric(x, y)`` and advertise ``states = None``; ``link_iter`` walks
+them a frontier at a time through ``cell``.  Only there does the
 subjective test search a complement, so its events must list theirs
 explicitly (:attr:`Event.complement_witnesses`); on a finite carrier
 witnesses are validated and never searched.
@@ -34,6 +38,7 @@ witnesses are validated and never searched.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import takewhile
 from typing import Any, Callable, Hashable, Iterable, Mapping, Optional
 
 from .hypernat import HyperNat, finite
@@ -104,6 +109,7 @@ class AumannModel:
         self._states = tuple(sorted(self._cells[self._agents[0]], key=str))
         self._index: Optional[tuple] = None
         self._adjacency: Optional[tuple] = None
+        self._partitions: dict = {}
 
     @property
     def agents(self) -> tuple:
@@ -114,11 +120,16 @@ class AumannModel:
         return self._states
 
     def partition(self, agent: Agent) -> tuple:
-        """The agent's cells, in the order the constructor was given them."""
-        try:
-            return tuple(dict.fromkeys(self._cells[agent].values()))
-        except KeyError:
-            raise ValueError(f"unknown agent {agent!r}") from None
+        """The agent's cells, in the order the constructor was given them.
+        Built on first use and cached: the model never changes."""
+        cells = self._partitions.get(agent)
+        if cells is None:
+            try:
+                table = self._cells[agent]
+            except KeyError:
+                raise ValueError(f"unknown agent {agent!r}") from None
+            cells = self._partitions[agent] = tuple(dict.fromkeys(table.values()))
+        return cells
 
     def cell(self, agent: Agent, state: State) -> frozenset:
         try:
@@ -143,22 +154,28 @@ class AumannModel:
             self._adjacency = (ids, tuple(rows))
         return self._adjacency
 
-    def _id(self, state: State) -> int:
-        """The position of ``state`` in :attr:`states`."""
-        i = self._int_adjacency()[0].get(state)
-        if i is None:
-            self.cell(self._agents[0], state)  # raises: not a state of the model
-        return i
+    def _ids(self, states: Iterable[State]) -> list:
+        """The positions of ``states`` in :attr:`states`, in the order given."""
+        ids = self._int_adjacency()[0]
+        try:
+            return list(map(ids.__getitem__, states))
+        except KeyError as exc:
+            self.cell(self._agents[0], exc.args[0])  # raises: not a state of the model
 
-    def _walk(self, start: int) -> tuple:
-        """The breadth-first walk from state id ``start`` over the cached
-        adjacency: the reached ids in the order first visited, and the link
-        distances by id, None where unreached.  It hashes no state."""
+    def _walk(self, starts: Iterable[int], depth: Optional[int] = None) -> tuple:
+        """The breadth-first walk from the distinct state ids ``starts`` over
+        the cached adjacency, ``depth`` steps deep where given: the reached
+        ids in the order first visited, and the link distances by id, None
+        where unreached.  It hashes no state."""
         rows = self._int_adjacency()[1]
         dist = [None] * len(self._states)
-        dist[start] = 0
-        order = [start]
-        for i in order:  # the queue: states are appended as they are reached
+        order = list(starts)
+        for i in order:
+            dist[i] = 0
+        # The ids nearer than the depth come first in the order, so a bounded
+        # walk stops at the first one that is not; the unbounded one never tests.
+        queue = order if depth is None else takewhile(lambda i: dist[i] < depth, order)
+        for i in queue:  # states are appended to the order as they are reached
             layer = dist[i] + 1
             for row in rows:
                 for j in row[i]:
@@ -173,18 +190,18 @@ class AumannModel:
         Unreachable states are simply absent, and the states come in the
         order the walk first visits them.
         """
-        order, dist = self._walk(self._id(origin))
+        order, dist = self._walk(self._ids((origin,)))
         return dict(zip(map(self._states.__getitem__, order), map(dist.__getitem__, order)))
 
     def metric(self, x: State, y: State) -> Optional[HyperNat]:
         """Link distance, or None when ``y`` is unreachable from ``x``."""
-        i, j = self._id(x), self._id(y)
-        d = self._walk(i)[1][j]
+        i, j = self._ids((x, y))
+        d = self._walk((i,))[1][j]
         return None if d is None else finite(d)
 
     def closure(self, state: State) -> frozenset:
         """All states reachable from ``state`` through chains of cells."""
-        return frozenset(map(self._states.__getitem__, self._walk(self._id(state))[0]))
+        return frozenset(map(self._states.__getitem__, self._walk(self._ids((state,)))[0]))
 
     def components(self) -> tuple:
         """Reachability components, via breadth-first closures."""
@@ -194,7 +211,7 @@ class AumannModel:
         for i in range(len(states)):
             if seen[i]:
                 continue
-            order = self._walk(i)[0]
+            order = self._walk((i,))[0]
             for j in order:
                 seen[j] = True
             comps.append(frozenset(map(states.__getitem__, order)))
@@ -300,11 +317,12 @@ def link_group(model: Any, event: Any) -> frozenset:
 def link_iter(model: Any, event: Any, n: Any) -> frozenset:
     """The ``n``-fold group link; ``n`` must be finite.
 
-    One multi-source breadth-first walk: each step reads the cells of only
-    the states the previous step reached first, and the walk stops early
-    once nothing new is reached.  So it makes at most one cell read per
-    agent and reached state, whatever ``n`` is; :func:`link_group` applied
-    ``n`` times is its reference.
+    A multi-source breadth-first walk from the event, ``n`` steps deep, that
+    stops early once nothing new is reached, so its cost is linear in the
+    states it reaches whatever ``n`` is.  On a finite carrier it is the id
+    walk, and only the states it adds to the event are mapped back; on an
+    infinite one each step reads the cells of the states the step before
+    reached first.  :func:`link_group` applied ``n`` times is its reference.
     """
     if isinstance(n, HyperNat):
         if n.is_huge:
@@ -312,7 +330,13 @@ def link_iter(model: Any, event: Any, n: Any) -> frozenset:
         n = int(n)
     if n < 0:
         raise ValueError("link iterations are nonnegative")
-    reached = set(_members(model, event))
+    members = _members(model, event)
+    if not n:  # states outside the carrier come back unread
+        return members
+    if _finite_carrier(model):
+        order = model._walk(model._ids(members), n)[0]
+        return members.union(map(model.states.__getitem__, order[len(members) :]))
+    reached = set(members)
     frontier = list(reached)
     agents = model.agents
     for _ in range(n):
@@ -340,7 +364,7 @@ def knows(model: Any, agent: Agent, event: Any) -> frozenset:
     if not _finite_carrier(model):
         raise ValueError("knowledge sets need an enumerable carrier")
     members = _members(model, event)
-    return frozenset().union(*(cell for cell in model.partition(agent) if cell <= members))
+    return frozenset().union(*filter(members.issuperset, model.partition(agent)))
 
 
 def knows_group(model: Any, event: Any) -> frozenset:

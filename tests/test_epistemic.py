@@ -79,6 +79,14 @@ def test_link_iter():
         current = link_iter(model, {A}, n)
         assert previous <= current
         previous = current
+    # A member outside the carrier: zero steps return the event unread, and a
+    # step names the state.
+    outside = frozenset({A, "nowhere"})
+    assert link_iter(model, outside, 0) == outside
+    for n in (1, 2, finite(9)):
+        with pytest.raises(ValueError) as err:
+            link_iter(model, outside, n)
+        assert str(err.value) == "unknown agent/state pair (1, 'nowhere')"
 
 
 def test_link_iter_accepts_finite_hypernat_and_rejects_huge():
@@ -90,14 +98,28 @@ def test_link_iter_accepts_finite_hypernat_and_rejects_huge():
         link_iter(model, {A}, -1)
 
 
+# Ints and a tuple: the str order that numbers the states is neither the
+# input order nor the numeric one, and the model has five components.
+MIXED_PARTITIONS = {
+    "ann": [[10, 2], [0], [1, (0, 1)], [11, 3], [4], [5, 7], [6], [8], [9]],
+    "bob": [[2], [10, 0], [1], [(0, 1)], [4, 11], [3], [6, 5], [7], [8], [9]],
+    "cy": [[0, 1], [2], [10], [(0, 1)], [3], [4], [11], [5], [6], [7], [9], [8]],
+}
+
+
 def test_link_iter_matches_repeated_link_group_and_bfs_distances():
-    # Two references that share no code with the frontier walk: n rounds of
+    # Two references that share no code with the id walk: n rounds of
     # link_group, and the states within n of the event by BFS distance.
     rng = random.Random(61)
-    for model in _several_component_models(rng, 20):
+    cases = [(m, helpers.all_events(m.states)) for m in _several_component_models(rng, 20)]
+    mixed = AumannModel(list(MIXED_PARTITIONS), MIXED_PARTITIONS)
+    assert list(mixed.states) != list(dict.fromkeys(s for c in MIXED_PARTITIONS["ann"] for s in c))
+    sizes = range(len(mixed.states) + 1)
+    cases.append((mixed, [frozenset(rng.sample(mixed.states, k)) for k in sizes for _ in range(6)]))
+    for model, events in cases:
         table = {s: model.distances_from(s) for s in model.states}
         steps = range(len(model.states) + 2)  # past the diameter
-        for event in helpers.all_events(model.states):
+        for event in events:
             for ev in (event, Event(event.__contains__)):
                 linked = event
                 for n in steps:
@@ -682,6 +704,18 @@ def test_poisoned_index_leaves_bfs_oracles_alone():
     # The verdicts read the index, so they follow the poison.
     assert ck_classical(model, merged, model.states[0])
     assert not ck_classical(model, closures[model.states[0]], model.states[0])
+
+
+def test_partition_is_built_once_per_agent_in_constructor_order():
+    model = AumannModel(list(MIXED_PARTITIONS), MIXED_PARTITIONS)
+    for agent, cells in MIXED_PARTITIONS.items():
+        first = model.partition(agent)
+        assert first == tuple(map(frozenset, cells))
+        assert model.partition(agent) is first
+    for _ in range(2):  # a failed lookup caches nothing
+        with pytest.raises(ValueError) as err:
+            model.partition("nope")
+        assert str(err.value) == "unknown agent 'nope'"
 
 
 def test_model_validation():
