@@ -39,6 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import takewhile
+from operator import index
 from typing import Any, Callable, Hashable, Iterable, Mapping, Optional
 
 from .hypernat import HyperNat, finite
@@ -330,6 +331,7 @@ def link_iter(model: Any, event: Any, n: Any) -> frozenset:
         n = int(n)
     if n < 0:
         raise ValueError("link iterations are nonnegative")
+    n = index(n)  # a float is no step count, on either walk
     members = _members(model, event)
     if not n:  # states outside the carrier come back unread
         return members

@@ -96,6 +96,8 @@ def test_link_iter_accepts_finite_hypernat_and_rejects_huge():
         link_iter(model, {A}, huge(1, 0))
     with pytest.raises(ValueError):
         link_iter(model, {A}, -1)
+    with pytest.raises(TypeError):
+        link_iter(model, {A}, 1.5)
 
 
 # Ints and a tuple: the str order that numbers the states is neither the
