@@ -1,15 +1,16 @@
 """Partition models of interactive knowledge.
 
 An :class:`AumannModel` is an explicit finite carrier with one partition per
-agent, stored once as a table ``state -> cell`` per agent: ``cell``,
-``partition`` and the union-find meet read it, and ``partition`` lists an
-agent's cells once, on first use, and caches the tuple.  ``knows`` keeps the
-cached cells that the event's member set is a superset of.  The link of an
-event through an agent's partition collects every state sharing a cell with
-the event; iterating the group link induces a breadth-first metric whose
-connected components are the carrier's reachability classes.  On a finite
-carrier both walks run on state ids over an int copy of the tables that
-each model builds on its first walk and caches, and both are linear in the
+agent.  The constructor numbers the states once, in ``states`` order, and
+stores per agent each cell as a tuple of member ids, in input order, and
+each state's cell number by id.  Every walk and the union-find meet read
+those ids and hash no state.  ``cell`` and ``partition`` build frozensets of
+states only when asked, and ``partition`` caches each agent's tuple.
+``knows`` keeps the cached cells that the event's member set is a superset
+of.  The link of an event through an agent's partition collects every state
+sharing a cell with the event; iterating the group link induces a
+breadth-first metric whose connected components are the carrier's
+reachability classes.  On a finite carrier both walks are linear in the
 states they reach.
 One id walk, from one or several start ids and ``n`` steps deep where
 given, returns the visit order and a list of distances by id, and each
@@ -38,7 +39,7 @@ witnesses are validated and never searched.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import takewhile
+from itertools import chain, takewhile
 from operator import index
 from typing import Any, Callable, Hashable, Iterable, Mapping, Optional
 
@@ -92,24 +93,39 @@ class AumannModel:
             raise ValueError("a model needs at least one agent")
         if len(set(self._agents)) != len(self._agents):
             raise ValueError("agent names must be distinct")
-        # One table per agent, state -> cell, filled cell by cell in input order.
-        self._cells: dict = {}
+        # Per agent, in input order: each cell as a tuple of member ids, and
+        # each state's cell number by id.  The states are the first agent's.
+        self._parts: dict = {}
         for agent in self._agents:
             if agent not in partitions:
                 raise ValueError(f"missing partition for agent {agent!r}")
-            table = self._cells[agent] = {}
-            for cell in map(frozenset, partitions[agent]):
-                if not cell:
-                    raise ValueError(f"agent {agent!r} has an empty cell")
-                for state in cell:
-                    if state in table:
-                        raise ValueError(f"state {state!r} lies in two cells of agent {agent!r}")
-                    table[state] = cell
-            if table.keys() != self._cells[self._agents[0]].keys():
-                raise ValueError(f"agent {agent!r} partitions a different carrier")
-        self._states = tuple(sorted(self._cells[self._agents[0]], key=str))
+            cells = [tuple(cell) for cell in partitions[agent]]
+            if not self._parts:
+                self._states = tuple(sorted(dict.fromkeys(chain.from_iterable(cells)), key=str))
+                self._id_of = dict(zip(self._states, range(len(self._states))))
+            n = len(self._states)
+            get = self._id_of.get  # None for a state off the carrier
+            members = tuple([tuple(map(get, cell)) for cell in cells])
+            ids = set(chain.from_iterable(members))
+            # No cell empty and every id once: a partition of the carrier.
+            # Otherwise a scan over the states names the first fault, or finds
+            # none where a cell only repeats a state.
+            if not (all(cells) and None not in ids and len(ids) == n == sum(map(len, cells))):
+                seen: dict = {}
+                for k, cell in enumerate(cells):
+                    if not cell:
+                        raise ValueError(f"agent {agent!r} has an empty cell")
+                    for s in cell:
+                        if seen.setdefault(s, k) != k:
+                            raise ValueError(f"state {s!r} lies in two cells of agent {agent!r}")
+                if seen.keys() != self._id_of.keys():
+                    raise ValueError(f"agent {agent!r} partitions a different carrier")
+            of = [None] * n
+            for k, cell in enumerate(members):
+                for i in cell:
+                    of[i] = k
+            self._parts[agent] = (members, of)
         self._index: Optional[tuple] = None
-        self._adjacency: Optional[tuple] = None
         self._partitions: dict = {}
 
     @property
@@ -126,49 +142,34 @@ class AumannModel:
         cells = self._partitions.get(agent)
         if cells is None:
             try:
-                table = self._cells[agent]
+                members = self._parts[agent][0]
             except KeyError:
                 raise ValueError(f"unknown agent {agent!r}") from None
-            cells = self._partitions[agent] = tuple(dict.fromkeys(table.values()))
+            state = self._states.__getitem__
+            cells = tuple([frozenset(map(state, cell)) for cell in members])
+            self._partitions[agent] = cells
         return cells
 
     def cell(self, agent: Agent, state: State) -> frozenset:
         try:
-            return self._cells[agent][state]
+            members, of = self._parts[agent]
+            return frozenset(map(self._states.__getitem__, members[of[self._id_of[state]]]))
         except KeyError:
             raise ValueError(f"unknown agent/state pair ({agent!r}, {state!r})") from None
 
-    def _int_adjacency(self) -> tuple:
-        """The state ids, ``state -> position in states``, and per agent a
-        list by id of each state's cell as a tuple of member ids (one tuple
-        per cell, shared by its members).  Built on first use and cached."""
-        if self._adjacency is None:
-            ids = {s: i for i, s in enumerate(self._states)}
-            rows = []
-            for table in self._cells.values():
-                row = [None] * len(ids)
-                for cell in dict.fromkeys(table.values()):
-                    members = tuple(map(ids.__getitem__, cell))
-                    for i in members:
-                        row[i] = members
-                rows.append(row)
-            self._adjacency = (ids, tuple(rows))
-        return self._adjacency
-
     def _ids(self, states: Iterable[State]) -> list:
         """The positions of ``states`` in :attr:`states`, in the order given."""
-        ids = self._int_adjacency()[0]
         try:
-            return list(map(ids.__getitem__, states))
+            return list(map(self._id_of.__getitem__, states))
         except KeyError as exc:
             self.cell(self._agents[0], exc.args[0])  # raises: not a state of the model
 
     def _walk(self, starts: Iterable[int], depth: Optional[int] = None) -> tuple:
-        """The breadth-first walk from the distinct state ids ``starts`` over
-        the cached adjacency, ``depth`` steps deep where given: the reached
-        ids in the order first visited, and the link distances by id, None
-        where unreached.  It hashes no state."""
-        rows = self._int_adjacency()[1]
+        """The breadth-first walk from the distinct state ids ``starts``,
+        ``depth`` steps deep where given: the reached ids in the order first
+        visited, and the link distances by id, None where unreached.  It
+        reads the cells' member ids and hashes no state."""
+        parts = tuple(self._parts.values())
         dist = [None] * len(self._states)
         order = list(starts)
         for i in order:
@@ -178,8 +179,8 @@ class AumannModel:
         queue = order if depth is None else takewhile(lambda i: dist[i] < depth, order)
         for i in queue:  # states are appended to the order as they are reached
             layer = dist[i] + 1
-            for row in rows:
-                for j in row[i]:
+            for members, of in parts:
+                for j in members[of[i]]:
                     if dist[j] is None:
                         dist[j] = layer
                         order.append(j)
@@ -222,30 +223,27 @@ class AumannModel:
         """The meet's blocks, sorted by their first state, and a map from
         each state to its block.
 
-        Built on first use by one union-find over the cells and cached, so
-        every later meet or common-knowledge query on the model reads it.
+        Built on first use by one union-find over the cells' member ids and
+        cached, so every later meet or common-knowledge query reads it.
         """
         if self._index is None:
-            parent = {s: s for s in self._states}
+            parent = list(range(len(self._states)))
 
-            def find(x):
-                while parent[x] != x:
-                    parent[x] = x = parent[parent[x]]  # path halving
-                return x
+            def find(i):
+                while parent[i] != i:
+                    parent[i] = i = parent[parent[i]]  # path halving
+                return i
 
-            for table in self._cells.values():
-                current = None  # a cell's states follow each other in its table
-                for s, cell in table.items():
-                    if cell is current:
-                        parent[find(s)] = root
-                    else:
-                        current, root = cell, find(s)
+            for members, _ in self._parts.values():
+                for cell in members:
+                    root = find(cell[0])
+                    for i in cell:
+                        parent[find(i)] = root
             groups: dict = {}
-            for s in self._states:
-                groups.setdefault(find(s), []).append(s)
-            blocks = tuple(
-                frozenset(g) for g in sorted(groups.values(), key=lambda g: str(g[0]))
-            )
+            for i, s in enumerate(self._states):
+                groups.setdefault(find(i), []).append(s)
+            # Ids run in str order, so the blocks come sorted by their first state.
+            blocks = tuple(map(frozenset, groups.values()))
             self._index = (blocks, {s: block for block in blocks for s in block})
         return self._index
 
@@ -295,8 +293,8 @@ def _members(model: Any, event: Any) -> frozenset:
         raise ValueError("event needs an explicit member set on an infinite carrier")
     members = frozenset(filter(event.contains, model.states))
     witnesses = event.complement_witnesses
-    # The table's keys carry their hashes: no state's __hash__ is called.
-    if witnesses is not None and set(witnesses) != model._cells[model.agents[0]].keys() - members:
+    # The id map's keys carry their hashes: no state's __hash__ is called.
+    if witnesses is not None and set(witnesses) != model._id_of.keys() - members:
         raise ValueError("complement witnesses must list exactly the event's complement")
     return members
 

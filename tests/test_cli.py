@@ -250,6 +250,7 @@ _GRAMMAR_HINT = "as a hyper-natural (try 7, w+0, w-5 or 2*w+0)"
         (("--finite-samples", "x..3"), f"error: cannot parse 'x' {_GRAMMAR_HINT}"),
         (("--finite-samples", "1" * 1001), "error: a count has at most 1000 characters, got 1001"),
         (("--finite-samples", "0..1..2"), f"error: cannot parse '1..2' {_GRAMMAR_HINT}"),
+        (("--M", "1ex"), "error: bad payoff parameters: Invalid literal for Fraction: '1ex'"),
     ],
 )
 def test_equilibrium_count_tiers_are_usage_errors(option, line):

@@ -100,6 +100,23 @@ def test_link_iter_accepts_finite_hypernat_and_rejects_huge():
         link_iter(model, {A}, 1.5)
 
 
+class _PairCarrier:
+    """An infinite carrier of ints whose one agent pairs 0 with 1 and leaves
+    every other state alone, so the component of 0 is finite."""
+
+    states = None
+    agents = ("x",)
+
+    def cell(self, agent, state):
+        return frozenset({0, 1}) if state in (0, 1) else frozenset({state})
+
+
+def test_link_iter_stops_once_an_infinite_carriers_frontier_empties():
+    # A billion steps: only the early stop keeps this from running them all.
+    assert link_iter(_PairCarrier(), {0}, 10**9) == {0, 1}
+    assert link_iter(_PairCarrier(), {5}, 10**9) == {5}
+
+
 # Ints and a tuple: the str order that numbers the states is neither the
 # input order nor the numeric one, and the model has five components.
 MIXED_PARTITIONS = {
@@ -731,6 +748,22 @@ def test_model_validation():
         AumannModel((), {})
 
 
+def test_model_accepts_a_repeat_inside_a_cell_and_one_shot_iterators():
+    model = AumannModel(("x",), {"x": [["s0", "s0"]]})
+    assert model.states == ("s0",)
+    assert model.partition("x") == (frozenset({"s0"}),)
+    assert model.cell("x", "s0") == {"s0"}
+    # A repeat joins nothing: s1 and s2 stay apart, and both walks agree.
+    partitions = {"x": [["s0", "s1", "s0"], ["s2"]], "y": [["s2"], ["s1", "s1"], ["s0"]]}
+    model = AumannModel(("x", "y"), partitions)
+    assert model.cell("y", "s1") == {"s1"}
+    assert model.distances_from("s0") == {"s0": 0, "s1": 1}
+    assert meet(model) == model.components() == (frozenset({"s0", "s1"}), frozenset({"s2"}))
+    model = AumannModel(("x",), {"x": iter([iter(["s0"]), ("s1",)])})
+    assert model.states == ("s0", "s1")
+    assert model.partition("x") == (frozenset({"s0"}), frozenset({"s1"}))
+
+
 def test_model_from_dict_round_trip():
     doc = {
         "states": ["w1", "w2", "w3"],
@@ -815,6 +848,16 @@ _DOC = {
         (lambda: knows(EmailGameModel(), 1, event_b()), ValueError,
          "knowledge sets need an enumerable carrier"),
         (lambda: meet(EmailGameModel()), ValueError, "the meet needs an explicit finite carrier"),
+        (lambda: AumannModel(("x",), {"x": [["s0", "s1"], ["s1"]]}), ValueError,
+         "state 's1' lies in two cells of agent 'x'"),
+        (lambda: AumannModel(("x", "y"), {"x": [["s0"], ["s1"]], "y": [["s0"], ["s0"]]}), ValueError,
+         "state 's0' lies in two cells of agent 'y'"),  # as many states as the carrier
+        (lambda: AumannModel(("x", "y"), {"x": [["s0"], ["s1"]], "y": [["s0"]]}), ValueError,
+         "agent 'y' partitions a different carrier"),  # s1 missing
+        (lambda: AumannModel(("x", "y"), {"x": [["s0"]], "y": [["s0"], ["s1"]]}), ValueError,
+         "agent 'y' partitions a different carrier"),  # s1 extra
+        (lambda: AumannModel(("x",), {"x": [["s0"], []]}), ValueError,
+         "agent 'x' has an empty cell"),
     ],
 )
 def test_validation_errors_name_their_cause(call, exc, message):

@@ -269,6 +269,15 @@ def test_scaling_matches_tuple_arithmetic(x, m):
         (lambda: HyperNat(-1, 0), ValueError, "anchor coefficient must be nonnegative"),
         (lambda: parse_hypernat(5), TypeError, "expected a string"),
         (lambda: gap("x", 1), TypeError, "gap expects HyperNat or int endpoints"),
+        # A foreign operand gets NotImplemented, so Python raises its own error.
+        (lambda: finite(1) < "x", TypeError, "'<' not supported between instances of 'HyperNat' and 'str'"),
+        (lambda: finite(1) < 1.5, TypeError, "'<' not supported between instances of 'HyperNat' and 'float'"),
+        (lambda: finite(1) + "x", TypeError, "unsupported operand type(s) for +: 'HyperNat' and 'str'"),
+        (lambda: finite(1) + 1.5, TypeError, "unsupported operand type(s) for +: 'HyperNat' and 'float'"),
+        (lambda: finite(1) - "x", TypeError, "unsupported operand type(s) for -: 'HyperNat' and 'str'"),
+        (lambda: finite(1) - 1.5, TypeError, "unsupported operand type(s) for -: 'HyperNat' and 'float'"),
+        (lambda: "x" - finite(1), TypeError, "unsupported operand type(s) for -: 'str' and 'HyperNat'"),
+        (lambda: 1.5 - finite(1), TypeError, "unsupported operand type(s) for -: 'float' and 'HyperNat'"),
     ],
 )
 def test_constructor_errors_name_their_cause(call, exc, message):
