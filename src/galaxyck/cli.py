@@ -111,10 +111,8 @@ def cmd_model_check(args) -> tuple:
         raise UsageError(f"{args.file}: {exc}") from None
     if args.event not in events:
         raise UsageError(f"unknown event {args.event!r}; file defines {sorted(events)}")
-    try:
-        model.cell(model.agents[0], args.state)
-    except ValueError:
-        raise UsageError(f"unknown state {args.state!r}") from None
+    if args.state not in model.component_index()[1]:  # the verdict reads that index too
+        raise UsageError(f"unknown state {args.state!r}")
     event = events[args.event]
     if args.mode == "classical":
         verdict = ck_classical(model, event, args.state)

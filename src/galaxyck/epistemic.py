@@ -4,8 +4,8 @@ An :class:`AumannModel` is an explicit finite carrier with one partition per
 agent.  The constructor numbers the states once, in ``states`` order, and
 stores per agent each cell as a tuple of member ids, in input order, and
 each state's cell number by id.  Every walk and the union-find meet read
-those ids and hash no state.  ``cell`` and ``partition`` build frozensets of
-states only when asked, and ``partition`` caches each agent's tuple.
+those ids and hash no state.  ``partition`` builds an agent's frozensets of
+states only when asked and caches them, and ``cell`` reads that cache.
 ``knows`` keeps the cached cells that the event's member set is a superset
 of.  The link of an event through an agent's partition collects every state
 sharing a cell with the event; iterating the group link induces a
@@ -99,7 +99,7 @@ class AumannModel:
         for agent in self._agents:
             if agent not in partitions:
                 raise ValueError(f"missing partition for agent {agent!r}")
-            cells = [tuple(cell) for cell in partitions[agent]]
+            cells = list(map(tuple, partitions[agent]))
             if not self._parts:
                 self._states = tuple(sorted(dict.fromkeys(chain.from_iterable(cells)), key=str))
                 self._id_of = dict(zip(self._states, range(len(self._states))))
@@ -151,11 +151,12 @@ class AumannModel:
         return cells
 
     def cell(self, agent: Agent, state: State) -> frozenset:
+        """The agent's cell holding ``state``, read from the cached partition."""
         try:
-            members, of = self._parts[agent]
-            return frozenset(map(self._states.__getitem__, members[of[self._id_of[state]]]))
+            k = self._parts[agent][1][self._id_of[state]]
         except KeyError:
             raise ValueError(f"unknown agent/state pair ({agent!r}, {state!r})") from None
+        return self.partition(agent)[k]
 
     def _ids(self, states: Iterable[State]) -> list:
         """The positions of ``states`` in :attr:`states`, in the order given."""
@@ -224,17 +225,21 @@ class AumannModel:
         each state to its block.
 
         Built on first use by one union-find over the cells' member ids and
-        cached, so every later meet or common-knowledge query reads it.
+        cached, so every later meet or common-knowledge query reads it.  The
+        first agent's cells are disjoint, so they seed it: each member's
+        parent is its cell's first id, and only the other agents are unioned.
         """
         if self._index is None:
-            parent = list(range(len(self._states)))
+            parts = iter(self._parts.values())
+            members, of = next(parts)
+            parent = list(map([cell[0] for cell in members].__getitem__, of))
 
             def find(i):
                 while parent[i] != i:
                     parent[i] = i = parent[parent[i]]  # path halving
                 return i
 
-            for members, _ in self._parts.values():
+            for members, _ in parts:
                 for cell in members:
                     root = find(cell[0])
                     for i in cell:
@@ -484,7 +489,67 @@ def model_from_dict(payload: Any) -> tuple:
 
     States are opaque strings.  Raises :class:`ModelFormatError` with the
     offending field path on any malformation.
+
+    A document is checked with C-level operations only: the types of its
+    states, cells and members, each agent's member count against the states,
+    and each event against them.  The constructor's own partition check
+    then decides disjointness and coverage.  Where any of that fails,
+    :func:`_scan_model` reads the document state by state instead and raises
+    at its first fault.
     """
+    if type(payload) is not dict:
+        return _scan_model(payload)
+    states = payload.get("states")
+    specs = payload.get("agents")
+    raw_events = payload.get("events", {})
+    if not (
+        type(states) is list
+        and set(map(type, states)) == {str}
+        and type(specs) is list
+        and set(map(type, specs)) == {dict}
+        and type(raw_events) is dict
+    ):
+        return _scan_model(payload)
+    carrier = set(states)
+    names = [spec.get("name") for spec in specs]
+    if not (
+        len(carrier) == len(states)
+        and set(map(type, names)) == {str}
+        and all(names)
+        and len(set(names)) == len(names)
+    ):
+        return _scan_model(payload)
+    partitions = {name: spec.get("partition") for name, spec in zip(names, specs)}
+    for cells in partitions.values():
+        if not (
+            type(cells) is list
+            and set(map(type, cells)) == {list}
+            and set(map(type, chain.from_iterable(cells))) == {str}
+            and sum(map(len, cells)) == len(states)
+        ):
+            return _scan_model(payload)
+    events = {}
+    for name, members in raw_events.items():
+        if not (
+            type(members) is list
+            and set(map(type, members)) <= {str}
+            and carrier.issuperset(members)
+        ):
+            return _scan_model(payload)
+        events[name] = frozenset(members)
+    try:
+        model = AumannModel(list(partitions), partitions)
+    except ValueError:
+        return _scan_model(payload)
+    # The model's carrier is its first agent's cells: they must hold the states.
+    if model._id_of.keys() != carrier:
+        return _scan_model(payload)
+    return model, events
+
+
+def _scan_model(payload: Any) -> tuple:
+    """:func:`model_from_dict` read state by state: the model and events of
+    a valid document, or a :class:`ModelFormatError` at its first fault."""
     if not isinstance(payload, dict):
         raise ModelFormatError("$", "document must be a JSON object")
     raw_states = payload.get("states")

@@ -124,9 +124,21 @@ def _render(value: Any, newline: str) -> str:
 
 def _write(value: Any, newline: str) -> str:
     """The text of ``_render(jsonable(value), newline)``, written without
-    jsonable's tree for a string, a dict or a set of one str-rendered type."""
+    jsonable's tree for a string, an int, a list, a tuple, a dict or a set
+    of one str-rendered type."""
     if type(value) is str:
         return _encode_str(value)
+    if type(value) is int:  # not bool, whose repr is not its JSON text
+        return _int_text(value)
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = newline + "  "
+        if set(map(type, value)) == {str}:  # a block of the meet: no call per state
+            items = map(_encode_str, value)
+        else:
+            items = [_write(item, inner) for item in value]
+        return f"[{inner}{(',' + inner).join(items)}{newline}]"
     if isinstance(value, dict):
         if not value:
             return "{}"

@@ -1,8 +1,12 @@
+import copy
 import random
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 import helpers
+from galaxyck import epistemic
 from galaxyck.emailgame import (
     STATE_A,
     EmailGameModel,
@@ -820,6 +824,134 @@ def test_model_from_dict_diagnostics(mutate, field):
     with pytest.raises(ModelFormatError) as err:
         model_from_dict(doc)
     assert err.value.field == field
+
+
+@st.composite
+def model_documents(draw):
+    """A valid JSON model document: 1-8 states, 1-3 agents, 0-2 events."""
+    states = [f"w{i}" for i in draw(st.permutations(range(draw(st.integers(1, 8)))))]
+    agents = []
+    for name in draw(st.lists(st.sampled_from(["ann", "bob", "cy"]), min_size=1, unique=True)):
+        order = draw(st.permutations(states))
+        cuts = draw(st.sets(st.integers(1, max(1, len(states) - 1)), max_size=len(states) - 1))
+        bounds = [0, *sorted(cuts), len(states)]
+        agents.append({"name": name, "partition": [order[a:b] for a, b in zip(bounds, bounds[1:])]})
+    doc = {"states": states, "agents": agents}
+    events = draw(st.dictionaries(st.sampled_from(["E", "F"]), st.lists(st.sampled_from(states))))
+    if events or draw(st.booleans()):  # "events" may be left out
+        doc["events"] = events
+    return doc
+
+
+def _fault(draw, doc):
+    """Inject one fault into a copy of the valid ``doc``: each kind is one
+    that the scan must name."""
+    doc = copy.deepcopy(doc)
+    states, agents = doc["states"], doc["agents"]
+    spec = draw(st.sampled_from(agents))
+    cells = spec["partition"]
+    cell = draw(st.sampled_from(cells))
+    member = draw(st.sampled_from(cell))
+    odd = draw(st.sampled_from([0, None, 1.5, True, ["w0"], {"w0": 0}]))
+    kind = draw(st.sampled_from(FAULT_KINDS))
+    if kind == "non-str state":
+        states[draw(st.integers(0, len(states) - 1))] = odd
+        if draw(st.booleans()):
+            cell[cell.index(member)] = odd
+    elif kind == "duplicate state":
+        states.insert(draw(st.integers(0, len(states))), member)
+    elif kind == "state in two cells":
+        if len(cells) == 1:
+            cells.append([member])
+        else:
+            draw(st.sampled_from([c for c in cells if c is not cell])).append(member)
+    elif kind == "repeat inside a cell":
+        cell.insert(draw(st.integers(0, len(cell))), member)
+    elif kind == "missing state":
+        cell.remove(member)
+        if not cell and draw(st.booleans()):
+            cells.remove(cell)
+    elif kind == "unknown state in a cell":
+        unknown = draw(st.sampled_from(["zz", "", odd]))
+        if draw(st.booleans()):
+            cell.append(unknown)
+        else:
+            cell[cell.index(member)] = unknown
+    elif kind == "state renamed in every partition":
+        for renamed in agents:
+            for c in renamed["partition"]:
+                c[:] = ["zz" if s == member else s for s in c]
+    elif kind == "non-object agent":
+        agents[agents.index(spec)] = draw(st.sampled_from([[], spec["name"], None]))
+    elif kind == "unknown event member":
+        events = doc.setdefault("events", {})
+        events.setdefault(draw(st.sampled_from(["E", "G"])), []).append(
+            draw(st.sampled_from(["zz", odd]))
+        )
+    elif kind == "non-list event":
+        events = doc.setdefault("events", {})
+        events[draw(st.sampled_from(["E", "G"]))] = draw(st.sampled_from([member, None, (member,)]))
+    elif kind == "empty cell":
+        cells.insert(draw(st.integers(0, len(cells))), [])
+    elif kind == "non-list cell":
+        cells[cells.index(cell)] = draw(st.sampled_from([tuple(cell), member, None, {"w0": 0}]))
+    elif kind == "duplicate agent name":
+        other = copy.deepcopy(draw(st.sampled_from(agents)))
+        other["name"] = spec["name"]
+        agents.insert(draw(st.integers(0, len(agents))), other)
+    elif kind == "empty agent name":
+        spec["name"] = draw(st.sampled_from(["", None, 5]))
+    else:
+        assert kind == "events not an object"
+        doc["events"] = draw(st.sampled_from([[], ["E"], "E", 0, None]))
+    return doc
+
+
+FAULT_KINDS = (
+    "non-str state",
+    "duplicate state",
+    "state in two cells",
+    "repeat inside a cell",
+    "missing state",
+    "unknown state in a cell",
+    "state renamed in every partition",
+    "non-object agent",
+    "unknown event member",
+    "non-list event",
+    "empty cell",
+    "non-list cell",
+    "duplicate agent name",
+    "empty agent name",
+    "events not an object",
+)
+
+
+def _scan_never_called(payload):
+    raise AssertionError("a valid document entered the scan")
+
+
+@settings(max_examples=300, deadline=None)
+@given(model_documents(), st.data())
+def test_model_from_dict_checks_as_the_scan_does(doc, data):
+    # The oracle is the document read state by state: every fault raises
+    # its text, and a valid document builds the same model without it.
+    model, events = epistemic._scan_model(copy.deepcopy(doc))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(epistemic, "_scan_model", _scan_never_called)
+        fast_model, fast_events = model_from_dict(doc)
+    assert fast_model.states == model.states
+    assert fast_model.agents == model.agents
+    for agent in model.agents:
+        assert fast_model.partition(agent) == model.partition(agent)
+    assert meet(fast_model) == meet(model)
+    assert fast_events == events
+    bad = _fault(data.draw, doc)
+    with pytest.raises(ModelFormatError) as scanned:
+        epistemic._scan_model(copy.deepcopy(bad))
+    with pytest.raises(ModelFormatError) as fast:
+        model_from_dict(bad)
+    assert str(fast.value) == str(scanned.value)
+    assert fast.value.field == scanned.value.field
 
 
 _DOC = {
