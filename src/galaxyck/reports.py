@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Optional
 
-__all__ = ["CaseResult", "CheckReport", "jsonable", "render_json"]
+__all__ = ["CaseResult", "CheckReport", "jsonable"]
 
 # A string's JSON text, escaped to ASCII: the stdlib's C routine, which
 # rejects anything but a str with TypeError.
@@ -65,67 +65,11 @@ def jsonable(value: Any) -> Any:
     return str(value)
 
 
-def render_json(value: Any) -> str:
-    """The text of ``json.dumps(value, indent=2)`` for JSON-native data.
-
-    ``value`` is what :func:`jsonable` returns: None, bools, ints, floats,
-    strings, lists, and dicts with string keys.  Strings are escaped to
-    ASCII.  The stdlib takes its pure-Python path whenever ``indent`` is
-    set; this encoder escapes with the C routine and joins a list of only
-    strings or only ints in one ``str.join``.
-    """
-    return _render(value, "\n")
-
-
-def _render(value: Any, newline: str) -> str:
-    """``value`` as JSON text whose nested lines start with ``newline``
-    plus two more spaces."""
-    if isinstance(value, str):
-        return _encode_str(value)
-    inner = newline + "  "
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        # Most values are strings: they are encoded without a call.
-        items = [
-            f"{_encode_str(k)}: {_encode_str(v) if type(v) is str else _render(v, inner)}"
-            for k, v in value.items()
-        ]
-        return f"{{{inner}{(',' + inner).join(items)}{newline}}}"
-    if isinstance(value, list):
-        if not value:
-            return "[]"
-        kinds = set(map(type, value))
-        if kinds == {str}:
-            items = map(_encode_str, value)
-        elif kinds == {int}:  # not bool, whose repr is not its JSON text
-            items = map(_int_text, value)
-        else:
-            items = [_render(item, inner) for item in value]
-        return f"[{inner}{(',' + inner).join(items)}{newline}]"
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return _int_text(value)
-    if isinstance(value, float):
-        if value != value:
-            return "NaN"
-        if value == _INF:
-            return "Infinity"
-        if value == -_INF:
-            return "-Infinity"
-        return float.__repr__(value)
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-
-
 def _write(value: Any, newline: str) -> str:
-    """The text of ``_render(jsonable(value), newline)``, written without
-    jsonable's tree for a string, an int, a list, a tuple, a dict or a set
-    of one str-rendered type."""
+    """The text of ``json.dumps(jsonable(value), indent=2)``, nested lines
+    starting with ``newline`` plus two spaces: the stdlib's pure-Python
+    indented path, escaped with its C routine and with no jsonable tree
+    but for a set of mixed types."""
     if type(value) is str:
         return _encode_str(value)
     if type(value) is int:  # not bool, whose repr is not its JSON text
@@ -150,11 +94,35 @@ def _write(value: Any, newline: str) -> str:
             for k, v in {str(k): v for k, v in value.items()}.items()
         ]
         return f"{{{inner}{(',' + inner).join(items)}{newline}}}"
-    if isinstance(value, (set, frozenset)) and _one_str_type(value):
+    if isinstance(value, (set, frozenset)):
+        if not _one_str_type(value):
+            return _write(jsonable(value), newline)
         # Each label escaped once, and sorted by that text, as jsonable sorts.
         inner = newline + "  "
         return f"[{inner}{(',' + inner).join(sorted(map(_encode_str, map(str, value))))}{newline}]"
-    return _render(jsonable(value), newline)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):  # an IntEnum: the stdlib writes int's repr
+        return _int_text(value)
+    if isinstance(value, float):
+        if value != value:
+            return "NaN"
+        if value == _INF:
+            return "Infinity"
+        if value == -_INF:
+            return "-Infinity"
+        return float.__repr__(value)
+    if isinstance(value, str):
+        return _encode_str(value)
+    # Fraction last: it derives from an abstract base class, so isinstance
+    # against it costs more than the tests above.
+    if isinstance(value, Fraction):
+        return f'"{value.numerator}/{value.denominator}"'
+    return _encode_str(str(value))
 
 
 @dataclass
@@ -201,11 +169,11 @@ class CheckReport:
         }
 
     def to_json(self, extras: Optional[dict] = None) -> str:
-        """``render_json(self.to_dict())``, with the keys of
-        ``jsonable(extras)`` after the report's own, written in one pass
-        from the cases.  ``to_dict()`` and ``render_json`` are its
-        reference.  An extra key that repeats one of the report's own keys
-        raises ValueError."""
+        """The text of ``json.dumps(self.to_dict(), indent=2)``, with the
+        keys of ``jsonable(extras)`` after the report's own, written in one
+        pass from the cases.  ``to_dict()``, ``jsonable`` and the standard
+        library's ``json.dumps(..., indent=2)`` are its reference.  An extra
+        key that repeats one of the report's own keys raises ValueError."""
         rows = [
             f'{{{_NL3}"input": {_write(case.input, _NL3)},'
             f'{_NL3}"expected": {_write(case.expected, _NL3)},'
@@ -215,7 +183,7 @@ class CheckReport:
         ]
         cases = f"[{_NL2}{(',' + _NL2).join(rows)}{_NL1}]" if rows else "[]"
         fields = [
-            f'"check": {_render(self.check, _NL1)}',
+            f'"check": {_write(self.check, _NL1)}',
             f'"params": {_write(self.params, _NL1)}',
             f'"cases": {cases}',
             f'"pass": {"true" if self.passed else "false"}',

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 
 from galaxyck import cli
 from galaxyck.emailgame import (
@@ -20,7 +20,7 @@ from galaxyck.emailgame import (
 )
 from galaxyck.epistemic import knows_group, link_iter, meet_equals_galaxies
 from galaxyck.hypernat import finite, huge
-from galaxyck.reports import CheckReport, jsonable, render_json
+from galaxyck.reports import CheckReport, _write, jsonable
 from galaxyck.sorites import GeneratingSequence, chain_relation
 from helpers import GOLDEN
 
@@ -145,7 +145,9 @@ member_sets = st.one_of(
 
 @given(member_sets)
 def test_one_type_sets_render_as_member_by_member(value):
-    assert render_json(jsonable(value)) == render_json(_jsonable_member_by_member(value))
+    assert json.dumps(jsonable(value), indent=2) == json.dumps(
+        _jsonable_member_by_member(value), indent=2
+    )
 
 
 def test_a_set_of_one_object_type_renders_without_a_call_per_member(monkeypatch):
@@ -164,15 +166,21 @@ def test_a_set_of_one_object_type_renders_without_a_call_per_member(monkeypatch)
     assert len(calls) == 1
 
 
-@given(json_native)
-def test_render_json_is_json_dumps_indent_2(value):
-    assert render_json(value) == json.dumps(value, indent=2)
+# Everything jsonable takes: JSON-native data, every set member kind alone
+# and in sets, Fractions, tuples and dicts with int keys.
+write_values = st.recursive(
+    json_native | member_sets | st.one_of(*set_members) | st.fractions(),
+    lambda children: st.tuples(children, children)
+    | st.dictionaries(st.integers(-2, 2), children, max_size=3),
+    max_leaves=12,
+)
 
 
-def test_render_json_rejects_what_jsonable_never_returns():
-    for value in (Fraction(1, 2), {1: "int key"}, ("a", "tuple")):
-        with pytest.raises(TypeError):
-            render_json(value)
+@given(write_values)
+@example([math.nan, math.inf, -math.inf, True, False, None, Level.HIGH, Label("é")])
+@example((Fraction(-1, 3), Quoted("q"), {1: "int key", "1": "its text"}))
+def test_write_is_json_dumps_of_jsonable_indent_2(value):
+    assert _write(value, "\n") == json.dumps(jsonable(value), indent=2)
 
 
 def _cli_report(argv):

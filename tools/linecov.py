@@ -1,11 +1,12 @@
 """Line coverage of ``src/galaxyck`` from the standard library.
 
-Runs the Tier-1 suite inside this process under ``sys.settrace`` and lists
-every executable line of ``src/galaxyck`` that no test reached, as
+Runs the Tier-1 suite inside this process under ``sys.monitoring``
+(Python 3.12 and later; below it the tool exits 2) and lists every
+executable line of ``src/galaxyck`` that no test reached, as
 ``path:line: source``.  The executable lines are those the compiler maps
-bytecode to, in the module and every code object nested in it.  The tracer
-follows only frames of ``src/galaxyck``, so the rest of the suite runs
-untraced; child processes are not followed.
+bytecode to, in the module and every code object nested in it.  Only code
+of ``src/galaxyck`` gets line events, so the rest of the suite runs
+unmonitored; child processes are not followed.
 
 An unreached line listed in ``ALLOWED`` with its reason is accepted, as
 ``tools/mutants.py`` accepts its equivalent mutants; any other makes the
@@ -21,26 +22,19 @@ from __future__ import annotations
 
 import os
 import sys
-import threading
 import types
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "galaxyck"
-IDLE_EVENTS = 100_000  # line events of one code object, in one test, with no new line
 
 # Unreached lines that are accepted, with the reason no in-process test
 # reaches them: a file name in src/galaxyck for the whole file, or
 # "<file>: <line as written, stripped>" for each line that reads so.
 ALLOWED = {
-    "__main__.py": "runs only as `python -m galaxyck`, in child processes the tracer does not follow",
+    "__main__.py": "runs only as `python -m galaxyck`, in child processes that are not monitored",
     "cli.py: sys.exit(main())": "runs only when cli.py is run as a script, in a child process",
 }
-
-
-def _code_lines(code: types.CodeType) -> set:
-    """The lines that a code object's own bytecode maps to."""
-    return {line for _, _, line in code.co_lines() if line}
 
 
 def executable_lines(path: Path) -> set:
@@ -49,7 +43,7 @@ def executable_lines(path: Path) -> set:
     lines = set()
     while todo:
         code = todo.pop()
-        lines |= _code_lines(code)
+        lines.update(line for _, _, line in code.co_lines() if line)
         todo.extend(const for const in code.co_consts if isinstance(const, types.CodeType))
     return lines
 
@@ -57,76 +51,46 @@ def executable_lines(path: Path) -> set:
 def run_suite(pytest_args: list) -> tuple:
     """pytest's exit code and the reached lines by resolved file path.
 
-    Each code object of the package is traced line by line until every
-    line of it has been reached; from then on its frames run untraced.  A
-    code object whose frames run ``IDLE_EVENTS`` line events without
-    reaching a new line runs untraced until the next test starts, so a hot
-    loop or a hot method with an error branch costs at most that many trace
-    calls per test.  Either way a line can only be missed, never counted
-    reached when it was not."""
-    import pytest  # imported before tracing starts: no frame of it is ours
+    The first start of each code object turns on line events for it when
+    it belongs to the package, and for no other code; each line event
+    records its line and turns itself off.  So every line costs at most one
+    callback, and the rest of the suite runs unmonitored."""
+    import pytest  # imported before monitoring starts: no code of it is ours
 
+    mon = sys.monitoring
+    tool = mon.COVERAGE_ID
     prefix = str(PACKAGE) + os.sep
-    # id(code) -> [lines still unreached or None, lines reached, idle events]
-    # for the package's code, None for any other code; ``keep`` holds each
-    # code object, so no other code ever takes its id.
-    codes: dict = {}
-    keep: list = []
-    reached: list = []  # (file name, entry) per traced code object
+    reached: dict = {}  # file name -> lines reached
 
-    def trace(frame, event, arg):
-        code = frame.f_code
-        try:
-            entry = codes[id(code)]
-        except KeyError:
-            entry = None
-            if code.co_filename.startswith(prefix):
-                entry = [_code_lines(code), set(), 0]
-                reached.append((code.co_filename, entry))
-            codes[id(code)] = entry
-            keep.append(code)
-        if entry is None or not entry[0] or entry[2] >= IDLE_EVENTS:
-            return None
-        todo, done = entry[0], entry[1]
+    def start(code, offset):
+        if code.co_filename.startswith(prefix):
+            mon.set_local_events(tool, code, mon.events.LINE)
+        return mon.DISABLE
 
-        def line(frame, event, arg):
-            lineno = frame.f_lineno
-            if lineno not in todo:
-                entry[2] += 1
-                return None if entry[2] >= IDLE_EVENTS else line
-            entry[2] = 0
-            todo.discard(lineno)
-            done.add(lineno)
-            if todo:
-                return line
-            entry[0] = None  # every line reached: no frame of it is traced again
-            return None
+    def line(code, lineno):
+        reached.setdefault(code.co_filename, set()).add(lineno)
+        return mon.DISABLE
 
-        return line(frame, event, arg)
-
-    class Wake:
-        """Traces every idle code object again at the start of each test."""
-
-        @staticmethod
-        def pytest_runtest_setup(item):
-            for _, entry in reached:
-                entry[2] = 0
-
-    threading.settrace(trace)
-    sys.settrace(trace)
+    mon.use_tool_id(tool, "linecov")
+    mon.register_callback(tool, mon.events.PY_START, start)
+    mon.register_callback(tool, mon.events.LINE, line)
+    mon.set_events(tool, mon.events.PY_START)
     try:
-        code = pytest.main(["-q", "-p", "no:cacheprovider", *pytest_args], plugins=[Wake()])
+        code = pytest.main(["-q", "-p", "no:cacheprovider", *pytest_args])
     finally:
-        sys.settrace(None)
-        threading.settrace(None)
+        mon.set_events(tool, 0)
+        mon.free_tool_id(tool)
     by_path: dict = {}
-    for filename, entry in reached:
-        by_path.setdefault(Path(filename).resolve(), set()).update(entry[1])
+    for filename, lines in reached.items():
+        by_path.setdefault(Path(filename).resolve(), set()).update(lines)
     return code, by_path
 
 
 def main(argv=None) -> int:
     args = sys.argv[1:] if argv is None else argv
+    if sys.version_info < (3, 12):
+        print("linecov: needs sys.monitoring, which Python 3.12 added", file=sys.stderr)
+        return 2
     os.chdir(ROOT)
     code, reached = run_suite(args)
     if code != 0:

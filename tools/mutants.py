@@ -16,7 +16,9 @@ and the mutated module's own test file first, so most mutants die within
 seconds.  It must pass once on the unmutated copy before any mutant runs,
 or the probe exits 2.  A survivor listed in ``EQUIVALENT`` with the reason
 it cannot change any behaviour is accepted; any other survivor makes the
-probe exit 1.
+probe exit 1.  A listed mutant that the suite kills also exits 1, and so,
+on a probe of every function, does a listed id that names no mutant, so
+the list never outlives its reason.
 
     python tools/mutants.py                                       # every function
     python tools/mutants.py --only epistemic.knows reports.jsonable
@@ -194,7 +196,10 @@ def main(argv=None) -> int:
         for j in range(jobs):
             copy = Path(tmp) / str(j)
             shutil.copytree(ROOT / "src", copy / "src", ignore=shutil.ignore_patterns("__pycache__"))
-            shutil.copytree(ROOT / "tests", copy / "tests", ignore=shutil.ignore_patterns("__pycache__"))
+            # Not test_tools.py: it checks the unmutated source against
+            # tools/, which the copy lacks.
+            shutil.copytree(ROOT / "tests", copy / "tests",
+                            ignore=shutil.ignore_patterns("__pycache__", "test_tools.py"))
             for name in ("pyproject.toml", "README.md"):  # test_readme reads the README
                 shutil.copy(ROOT / name, copy)
             copies.put(copy)
@@ -202,7 +207,7 @@ def main(argv=None) -> int:
         if not _suite_passes(copy, MODULES[0]):
             print("the suite fails on the unmutated copy; no mutant run", file=sys.stderr)
             return 2
-        verdicts, survivors = [], []
+        verdicts, survivors, stale = [], [], []
         with concurrent.futures.ThreadPoolExecutor(jobs) as pool:
             for (ident, _, _), verdict in zip(todo, pool.map(lambda m: run(m, copies), todo)):
                 listed = ident in EQUIVALENT
@@ -210,10 +215,17 @@ def main(argv=None) -> int:
                 verdicts.append(verdict)
                 if verdict == "survived" and not listed:
                     survivors.append(ident)
+                elif verdict == "killed" and listed:
+                    stale.append(f"{ident} is killed now")
+    if not args.only:
+        missing = EQUIVALENT.keys() - {ident for ident, _, _ in todo}
+        stale += [f"{ident} names no mutant" for ident in sorted(missing)]
     killed = verdicts.count("killed")
     print(f"{len(todo)} mutants: {killed} killed, {len(todo) - killed} survived, "
           f"{len(survivors)} not listed as equivalent")
-    return 1 if survivors else 0
+    for entry in stale:
+        print(f"{entry}; take it out of EQUIVALENT")
+    return 1 if survivors or stale else 0
 
 
 if __name__ == "__main__":
