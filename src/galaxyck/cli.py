@@ -21,7 +21,7 @@ from .emailgame import (
     check_monotone_ck,
     state_b,
 )
-from .epistemic import ModelFormatError, ck_classical, ck_subjective, meet, model_from_dict
+from .epistemic import ModelFormatError, ck_subjective, meet, model_from_dict
 from .hypernat import finite, parse_hypernat
 from .reports import CheckReport
 from .sorites import chain_relation
@@ -114,10 +114,8 @@ def cmd_model_check(args) -> tuple:
     if args.state not in model.component_index()[1]:  # the verdict reads that index too
         raise UsageError(f"unknown state {args.state!r}")
     event = events[args.event]
-    if args.mode == "classical":
-        verdict = ck_classical(model, event, args.state)
-    else:
-        verdict = ck_subjective(model, event, args.state)
+    # A model file's carrier is finite, where both modes are one and the same test.
+    verdict = ck_subjective(model, event, args.state)
     report = CheckReport(
         "model-check",
         {"file": args.file, "event": args.event, "state": args.state, "mode": args.mode},

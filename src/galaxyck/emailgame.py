@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Tuple, Union
 
 from .epistemic import AumannModel, Event, ck_classical, ck_subjective
-from .hypernat import HyperNat, finite, gap
+from .hypernat import HyperNat, _coerce, _text, finite, gap
 from .reports import CheckReport
 
 __all__ = [
@@ -58,11 +58,10 @@ _ONE = finite(1)
 
 
 def _as_count(value: Union[int, HyperNat]) -> HyperNat:
-    if isinstance(value, HyperNat):
-        return value
-    if isinstance(value, int) and not isinstance(value, bool):
-        return finite(value)
-    raise TypeError("message counts are HyperNat or int")
+    count = _coerce(value)
+    if count is None:
+        raise TypeError("message counts are HyperNat or int")
+    return count
 
 
 @dataclass(frozen=True)
@@ -94,11 +93,7 @@ class EmailGameState:
         object.__setattr__(self, "_hash", hash((self.tag, self.t, self.delta)))
         # Both counts written from t's fields: t' = t - delta has t's head.
         coeff, offset = self.t.omega_coeff, self.t.offset
-        if coeff == 0:
-            label = f"({self.tag},{offset},{offset - self.delta})"
-        else:
-            head = "w" if coeff == 1 else f"{coeff}*w"
-            label = f"({self.tag},{head}{offset:+d},{head}{offset - self.delta:+d})"
+        label = f"({self.tag},{_text(coeff, offset)},{_text(coeff, offset - self.delta)})"
         object.__setattr__(self, "_label", label)
 
     def __hash__(self) -> int:

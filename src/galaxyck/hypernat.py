@@ -31,6 +31,7 @@ _GRAMMAR = re.compile(
 
 
 def _coerce(value: Union["HyperNat", int]) -> Optional["HyperNat"]:
+    """The one count rule: a HyperNat, or an int that is not a bool; else None."""
     if isinstance(value, HyperNat):
         return value
     if isinstance(value, int) and not isinstance(value, bool):
@@ -53,7 +54,8 @@ class HyperNat:
     __slots__ = ("omega_coeff", "offset")
 
     def __init__(self, omega_coeff: int, offset: int) -> None:
-        if not isinstance(omega_coeff, int) or not isinstance(offset, int):
+        ints = isinstance(omega_coeff, int) and isinstance(offset, int)
+        if not ints or bool in (type(omega_coeff), type(offset)):
             raise TypeError("HyperNat components must be plain ints")
         if omega_coeff < 0:
             raise ValueError("anchor coefficient must be nonnegative")
@@ -137,10 +139,7 @@ class HyperNat:
         return self.offset
 
     def __str__(self) -> str:
-        if self.is_finite:
-            return str(self.offset)
-        head = "w" if self.omega_coeff == 1 else f"{self.omega_coeff}*w"
-        return f"{head}{self.offset:+d}"
+        return _text(self.omega_coeff, self.offset)
 
     def __repr__(self) -> str:
         return f"HyperNat({str(self)!r})"
@@ -148,6 +147,13 @@ class HyperNat:
 
 _set_coeff = HyperNat.omega_coeff.__set__  # type: ignore[attr-defined]
 _set_offset = HyperNat.offset.__set__  # type: ignore[attr-defined]
+
+
+def _text(coeff: int, offset: int) -> str:
+    """The grammar's one writer: ``k``, ``w+k``, ``w-k``, ``c*w+k`` or ``c*w-k``."""
+    if coeff == 0:
+        return str(offset)
+    return f"{'w' if coeff == 1 else f'{coeff}*w'}{offset:+d}"
 
 
 def _make(omega_coeff: int, offset: int) -> HyperNat:

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Optional
 
-from .hypernat import HyperNat, finite, gap
+from .hypernat import HyperNat, _coerce, finite, gap
 from .reports import CheckReport
 
 __all__ = ["GeneratingSequence", "SoritesRelation", "chain_relation"]
@@ -49,9 +49,9 @@ class GeneratingSequence:
         if t is None:
             if n < 0:
                 raise ValueError("ladder levels are nonnegative")
-            t = self.threshold(n)
-            if isinstance(t, int):
-                t = finite(t)
+            t = _coerce(self.threshold(n))
+            if t is None:
+                raise TypeError(f"the threshold of level {n} is not a HyperNat or int")
             self._bounds[n] = t
         return t
 

@@ -6,7 +6,9 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
+from galaxyck.emailgame import CutoffStrategy, _as_count
 from galaxyck.hypernat import HyperNat, finite, gap, huge, parse_hypernat
+from galaxyck.sorites import GeneratingSequence
 
 finites = st.integers(0, 10_000).map(finite)
 huges = st.tuples(st.integers(1, 4), st.integers(-10_000, 10_000)).map(lambda ck: huge(*ck))
@@ -266,6 +268,14 @@ def test_scaling_matches_tuple_arithmetic(x, m):
     "call,exc,message",
     [
         (lambda: HyperNat(1.5, 0), TypeError, "HyperNat components must be plain ints"),
+        pytest.param(lambda: HyperNat(0, False), TypeError, "HyperNat components must be plain ints",
+                     id="HyperNat(0, False)"),
+        pytest.param(lambda: finite(True), TypeError, "HyperNat components must be plain ints",
+                     id="finite(True)"),
+        pytest.param(lambda: huge(True), TypeError, "HyperNat components must be plain ints",
+                     id="huge(True)"),
+        pytest.param(lambda: huge(1, True), TypeError, "HyperNat components must be plain ints",
+                     id="huge(1, True)"),
         (lambda: HyperNat(-1, 0), ValueError, "anchor coefficient must be nonnegative"),
         (lambda: parse_hypernat(5), TypeError, "expected a string"),
         (lambda: gap("x", 1), TypeError, "gap expects HyperNat or int endpoints"),
@@ -284,3 +294,49 @@ def test_constructor_errors_name_their_cause(call, exc, message):
     with pytest.raises(exc) as err:
         call()
     assert str(err.value) == message
+
+
+def _read_count(reader, value):
+    """("ok", (c, k)) for the HyperNat a count reader returns, else the error's type."""
+    try:
+        count = reader(value)
+    except (TypeError, ValueError) as exc:
+        return type(exc)
+    assert type(count) is HyperNat
+    return "ok", (count.omega_coeff, count.offset)
+
+
+def _cutoff_action_reads(value):
+    seen = []
+    CutoffStrategy(rule=lambda count: seen.append(count) or "A").action(value)
+    return seen[0]
+
+
+COUNT_READERS = (
+    _as_count,
+    _cutoff_action_reads,
+    lambda value: gap(value, 0),
+    lambda value: GeneratingSequence(lambda n: value).bound(0),
+)
+
+
+@given(
+    st.one_of(
+        st.integers(),
+        st.booleans(),
+        st.floats(),
+        st.fractions(),
+        st.text(max_size=3),
+        st.none(),
+        finites,
+        huges,
+    )
+)
+def test_every_count_reader_agrees_with_the_count_rule(value):
+    if isinstance(value, HyperNat):
+        expected = "ok", (value.omega_coeff, value.offset)
+    elif type(value) is int:
+        expected = ("ok", (0, value)) if value >= 0 else ValueError
+    else:
+        expected = TypeError
+    assert [_read_count(reader, value) for reader in COUNT_READERS] == [expected] * 4

@@ -118,6 +118,12 @@ def test_custom_int_thresholds_are_coerced():
     assert gen.doubling_violations(5) == []
 
 
+@pytest.mark.parametrize("threshold", [2.5, True, "4", None])
+def test_non_count_thresholds_fail_at_bound_naming_the_level(threshold):
+    with pytest.raises(TypeError, match="level 0 "):
+        GeneratingSequence(lambda n: threshold).bound(0)
+
+
 def test_bounds_are_memoized_per_level():
     calls = []
 
