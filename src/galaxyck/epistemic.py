@@ -40,10 +40,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain, takewhile
-from operator import index
 from typing import Any, Callable, Hashable, Iterable, Mapping, Optional
 
-from .hypernat import HyperNat, finite
+from .hypernat import HyperNat, _coerce, finite
 from .reports import CheckReport
 from .sorites import SoritesRelation
 
@@ -319,7 +318,8 @@ def link_group(model: Any, event: Any) -> frozenset:
 
 
 def link_iter(model: Any, event: Any, n: Any) -> frozenset:
-    """The ``n``-fold group link; ``n`` must be finite.
+    """The ``n``-fold group link; ``n`` is a finite count, a HyperNat or an
+    int that is not a bool.
 
     A multi-source breadth-first walk from the event, ``n`` steps deep, that
     stops early once nothing new is reached, so its cost is linear in the
@@ -328,13 +328,12 @@ def link_iter(model: Any, event: Any, n: Any) -> frozenset:
     infinite one each step reads the cells of the states the step before
     reached first.  :func:`link_group` applied ``n`` times is its reference.
     """
-    if isinstance(n, HyperNat):
-        if n.is_huge:
-            raise ValueError("cannot iterate a huge number of link steps; use a closed form")
-        n = int(n)
-    if n < 0:
-        raise ValueError("link iterations are nonnegative")
-    n = index(n)  # a float is no step count, on either walk
+    count = _coerce(n)  # a negative int raises here
+    if count is None:
+        raise TypeError("link steps are HyperNat or int")
+    if count.is_huge:
+        raise ValueError("cannot iterate a huge number of link steps; use a closed form")
+    n = int(count)
     members = _members(model, event)
     if not n:  # states outside the carrier come back unread
         return members
@@ -490,83 +489,32 @@ def model_from_dict(payload: Any) -> tuple:
     States are opaque strings.  Raises :class:`ModelFormatError` with the
     offending field path on any malformation.
 
-    A document is checked with C-level operations only: the types of its
-    states, cells and members, each agent's member count against the states,
-    and each event against them.  The constructor's own partition check
-    then decides disjointness and coverage.  Where any of that fails,
-    :func:`_scan_model` reads the document state by state instead and raises
-    at its first fault.
+    Each field is read once, in order, and first tested with C-level
+    operations on exact types: the states' types; per agent its cells' and
+    members' types, no empty cell, its member count and its coverage of the
+    states, which together decide the partition; per event its members'
+    types and that they are states.  Only where such a test fails is that
+    field read state by state, which raises at its first fault or finds
+    none (str or list subclasses).
     """
-    if type(payload) is not dict:
-        return _scan_model(payload)
-    states = payload.get("states")
-    specs = payload.get("agents")
-    raw_events = payload.get("events", {})
-    if not (
-        type(states) is list
-        and set(map(type, states)) == {str}
-        and type(specs) is list
-        and set(map(type, specs)) == {dict}
-        and type(raw_events) is dict
-    ):
-        return _scan_model(payload)
-    carrier = set(states)
-    names = [spec.get("name") for spec in specs]
-    if not (
-        len(carrier) == len(states)
-        and set(map(type, names)) == {str}
-        and all(names)
-        and len(set(names)) == len(names)
-    ):
-        return _scan_model(payload)
-    partitions = {name: spec.get("partition") for name, spec in zip(names, specs)}
-    for cells in partitions.values():
-        if not (
-            type(cells) is list
-            and set(map(type, cells)) == {list}
-            and set(map(type, chain.from_iterable(cells))) == {str}
-            and sum(map(len, cells)) == len(states)
-        ):
-            return _scan_model(payload)
-    events = {}
-    for name, members in raw_events.items():
-        if not (
-            type(members) is list
-            and set(map(type, members)) <= {str}
-            and carrier.issuperset(members)
-        ):
-            return _scan_model(payload)
-        events[name] = frozenset(members)
-    try:
-        model = AumannModel(list(partitions), partitions)
-    except ValueError:
-        return _scan_model(payload)
-    # The model's carrier is its first agent's cells: they must hold the states.
-    if model._id_of.keys() != carrier:
-        return _scan_model(payload)
-    return model, events
-
-
-def _scan_model(payload: Any) -> tuple:
-    """:func:`model_from_dict` read state by state: the model and events of
-    a valid document, or a :class:`ModelFormatError` at its first fault."""
     if not isinstance(payload, dict):
         raise ModelFormatError("$", "document must be a JSON object")
-    raw_states = payload.get("states")
-    if not isinstance(raw_states, list) or not raw_states:
+    states = payload.get("states")
+    if not isinstance(states, list) or not states:
         raise ModelFormatError("states", "expected a nonempty list of state names")
-    for i, s in enumerate(raw_states):
-        if not isinstance(s, str):
-            raise ModelFormatError(f"states[{i}]", "state names must be strings")
-    if len(set(raw_states)) != len(raw_states):
+    if set(map(type, states)) != {str}:
+        for i, s in enumerate(states):
+            if not isinstance(s, str):
+                raise ModelFormatError(f"states[{i}]", "state names must be strings")
+    carrier = set(states)
+    if len(carrier) != len(states):
         raise ModelFormatError("states", "state names must be unique")
-    carrier = set(raw_states)
 
-    raw_agents = payload.get("agents")
-    if not isinstance(raw_agents, list) or not raw_agents:
+    specs = payload.get("agents")
+    if not isinstance(specs, list) or not specs:
         raise ModelFormatError("agents", "expected a nonempty list of agents")
     partitions: dict = {}
-    for i, spec in enumerate(raw_agents):
+    for i, spec in enumerate(specs):
         base = f"agents[{i}]"
         if not isinstance(spec, dict):
             raise ModelFormatError(base, "expected an object with name and partition")
@@ -578,20 +526,29 @@ def _scan_model(payload: Any) -> tuple:
         cells = spec.get("partition")
         if not isinstance(cells, list) or not cells:
             raise ModelFormatError(f"{base}.partition", "expected a nonempty list of cells")
-        seen: set = set()
-        for j, cell in enumerate(cells):
-            where = f"{base}.partition[{j}]"
-            if not isinstance(cell, list) or not cell:
-                raise ModelFormatError(where, "cells are nonempty lists of states")
-            for s in cell:
-                if not (isinstance(s, str) and s in carrier):
-                    raise ModelFormatError(where, f"unknown state {s!r}")
-                if s in seen:
-                    raise ModelFormatError(where, f"state {s!r} appears in two cells")
-                seen.add(s)
-        missing = carrier - seen
-        if missing:
-            raise ModelFormatError(f"{base}.partition", f"states not covered: {sorted(missing)}")
+        # As many str members as states, covering them all: each state once.
+        # The types come first: an unhashable member makes the coverage test raise.
+        if not (
+            set(map(type, cells)) == {list}
+            and set(map(type, chain.from_iterable(cells))) == {str}
+            and all(cells)
+            and sum(map(len, cells)) == len(states)
+            and not carrier.difference(chain.from_iterable(cells))
+        ):
+            seen: set = set()
+            for j, cell in enumerate(cells):
+                where = f"{base}.partition[{j}]"
+                if not isinstance(cell, list) or not cell:
+                    raise ModelFormatError(where, "cells are nonempty lists of states")
+                for s in cell:
+                    if not (isinstance(s, str) and s in carrier):
+                        raise ModelFormatError(where, f"unknown state {s!r}")
+                    if s in seen:
+                        raise ModelFormatError(where, f"state {s!r} appears in two cells")
+                    seen.add(s)
+            missing = sorted(carrier - seen)
+            if missing:
+                raise ModelFormatError(f"{base}.partition", f"states not covered: {missing}")
         partitions[name] = cells
 
     raw_events = payload.get("events", {})
@@ -602,9 +559,10 @@ def _scan_model(payload: Any) -> tuple:
         where = f"events.{name}"
         if not isinstance(members, list):
             raise ModelFormatError(where, "events are lists of states")
-        for s in members:
-            if not (isinstance(s, str) and s in carrier):
-                raise ModelFormatError(where, f"unknown state {s!r}")
+        if not (set(map(type, members)) == {str} and carrier.issuperset(members)):
+            for s in members:
+                if not (isinstance(s, str) and s in carrier):
+                    raise ModelFormatError(where, f"unknown state {s!r}")
         events[name] = frozenset(members)
 
     return AumannModel(list(partitions), partitions), events

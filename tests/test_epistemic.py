@@ -100,8 +100,9 @@ def test_link_iter_accepts_finite_hypernat_and_rejects_huge():
         link_iter(model, {A}, huge(1, 0))
     with pytest.raises(ValueError):
         link_iter(model, {A}, -1)
-    with pytest.raises(TypeError):
-        link_iter(model, {A}, 1.5)
+    for n in (1.5, True, False):  # no count, as everywhere else
+        with pytest.raises(TypeError):
+            link_iter(model, {A}, n)
 
 
 class _PairCarrier:
@@ -783,6 +784,28 @@ def test_model_from_dict_round_trip():
     assert events["E"] == {"w1", "w2"}
 
 
+class _Str(str):
+    """A str that fails every exact-type test of :func:`model_from_dict`."""
+
+
+class _List(list):
+    """A list that fails every exact-type test of :func:`model_from_dict`."""
+
+
+def _subclassed(value):
+    """``value`` with every str and list in it, at any depth and dict keys
+    included, replaced by a :class:`_Str` or :class:`_List`."""
+    if isinstance(value, str):
+        return _Str(value)
+    if isinstance(value, list):
+        return _List(map(_subclassed, value))
+    if isinstance(value, tuple):
+        return tuple(map(_subclassed, value))
+    if isinstance(value, dict):
+        return {_subclassed(k): _subclassed(v) for k, v in value.items()}
+    return value
+
+
 @pytest.mark.parametrize(
     "mutate,field",
     [
@@ -809,6 +832,17 @@ def test_model_from_dict_round_trip():
             lambda d: d.update(states=["a"], agents=[{"name": "ann", "partition": ["a"]}], events={}),
             "agents[0].partition[0]", id="string-cell",
         ),
+        pytest.param(lambda d: d["states"].__setitem__(1, 2), "states[1]", id="int-state"),
+        # An unhashable member in a state's place: the member count still fits.
+        pytest.param(lambda d: d["agents"][1]["partition"][0].__setitem__(0, ["w1"]),
+                     "agents[1].partition[0]", id="unhashable-member"),
+        # Subclasses fail every C-level test, so each field is read state by
+        # state: the valid document (no field) builds its model all the same.
+        pytest.param(lambda d: d.update(_subclassed(d)), None, id="str-subclass"),
+        pytest.param(
+            lambda d: d.update(_subclassed(dict(d, events={"E": ["w1", "w4"]}))),
+            "events.E", id="str-subclass-unknown-event-member",
+        ),
     ],
 )
 def test_model_from_dict_diagnostics(mutate, field):
@@ -821,9 +855,17 @@ def test_model_from_dict_diagnostics(mutate, field):
         "events": {"E": ["w1", "w2"]},
     }
     mutate(doc)
+    if field is None:
+        model, events = model_from_dict(doc)
+        assert model.states == ("w1", "w2", "w3")
+        assert model.partition("bob") == ({"w1"}, {"w2", "w3"})
+        assert events == {"E": {"w1", "w2"}}
+        return
     with pytest.raises(ModelFormatError) as err:
         model_from_dict(doc)
     assert err.value.field == field
+    if field == "states[1]":
+        assert str(err.value) == "states[1]: state names must be strings"
 
 
 @st.composite
@@ -926,32 +968,34 @@ FAULT_KINDS = (
 )
 
 
-def _scan_never_called(payload):
-    raise AssertionError("a valid document entered the scan")
+def _read_as_subclassed(doc) -> bool:
+    """Is ``doc`` valid?  Its all-subclass copy fails every C-level test and
+    is read state by state, so both must give the same states, partitions,
+    meet and events, or the same error text and field."""
+    subclassed = _subclassed(doc)
+    try:
+        model, events = model_from_dict(doc)
+    except ModelFormatError as err:
+        with pytest.raises(ModelFormatError) as read:
+            model_from_dict(subclassed)
+        assert str(read.value) == str(err)
+        assert read.value.field == err.field
+        return False
+    read_model, read_events = model_from_dict(subclassed)
+    assert read_model.states == model.states
+    assert read_model.agents == model.agents
+    for agent in model.agents:
+        assert read_model.partition(agent) == model.partition(agent)
+    assert meet(read_model) == meet(model)
+    assert read_events == events
+    return True
 
 
 @settings(max_examples=300, deadline=None)
 @given(model_documents(), st.data())
-def test_model_from_dict_checks_as_the_scan_does(doc, data):
-    # The oracle is the document read state by state: every fault raises
-    # its text, and a valid document builds the same model without it.
-    model, events = epistemic._scan_model(copy.deepcopy(doc))
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(epistemic, "_scan_model", _scan_never_called)
-        fast_model, fast_events = model_from_dict(doc)
-    assert fast_model.states == model.states
-    assert fast_model.agents == model.agents
-    for agent in model.agents:
-        assert fast_model.partition(agent) == model.partition(agent)
-    assert meet(fast_model) == meet(model)
-    assert fast_events == events
-    bad = _fault(data.draw, doc)
-    with pytest.raises(ModelFormatError) as scanned:
-        epistemic._scan_model(copy.deepcopy(bad))
-    with pytest.raises(ModelFormatError) as fast:
-        model_from_dict(bad)
-    assert str(fast.value) == str(scanned.value)
-    assert fast.value.field == scanned.value.field
+def test_model_from_dict_reads_a_document_as_its_subclass_copy(doc, data):
+    assert _read_as_subclassed(doc)
+    assert not _read_as_subclassed(_fault(data.draw, doc))
 
 
 _DOC = {
