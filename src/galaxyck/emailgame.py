@@ -179,13 +179,14 @@ def truncated_model(T: int) -> AumannModel:
     """
     if T < 1:
         raise ValueError("truncation bound must be >= 1")
-    # Each state is built once and shared by both partitions, so cell and
-    # set lookups of model states hit on identity.
-    top = [state_b(t, 0) for t in range(1, T + 1)]  # (b,t,t)
-    low = [state_b(t, 1) for t in range(1, T + 1)]  # (b,t,t-1)
-    part1 = [[STATE_A]] + [[lo, hi] for lo, hi in zip(low, top)]
-    part2 = [[STATE_A, low[0]]] + [[hi, lo] for hi, lo in zip(top, low[1:])] + [[top[-1]]]
-    return AumannModel((1, 2), {1: part1, 2: part2})
+    # The states in chain order, each built once and shared by both partitions
+    # (so cell and set lookups hit on identity), which go in as ids, unchecked.
+    states = [STATE_A, *(state_b(t, delta) for t in range(1, T + 1) for delta in (1, 0))]
+    id_of = dict(zip(sorted(states, key=str), range(len(states))))
+    at = list(map(id_of.get, states))  # the ids by chain position
+    part1 = ((at[0],), *zip(at[1::2], at[2::2]))
+    part2 = (*zip(at[0::2], at[1::2]), (at[-1],))
+    return AumannModel.__new__(AumannModel)._build(id_of, {1: part1, 2: part2})
 
 
 def check_classical_impossibility(T: int) -> CheckReport:

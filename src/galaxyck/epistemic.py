@@ -1,23 +1,22 @@
 """Partition models of interactive knowledge.
 
 An :class:`AumannModel` is an explicit finite carrier with one partition per
-agent.  The constructor numbers the states once, in ``states`` order, and
-stores per agent each cell as a tuple of member ids, in input order, and
-each state's cell number by id.  Every walk and the union-find meet read
-those ids and hash no state.  ``partition`` builds an agent's frozensets of
-states only when asked and caches them, and ``cell`` reads that cache.
-``knows`` keeps the cached cells that the event's member set is a superset
-of.  The link of an event through an agent's partition collects every state
-sharing a cell with the event; iterating the group link induces a
-breadth-first metric whose connected components are the carrier's
-reachability classes.  On a finite carrier both walks are linear in the
-states they reach.
-One id walk, from one or several start ids and ``n`` steps deep where
-given, returns the visit order and a list of distances by id, and each
-caller maps back to states only what it returns: ``distances_from`` a
-``state -> int`` dict in visit order, ``closure`` and ``components`` one
-frozenset each, ``metric`` one distance, and ``link_iter`` the states it
-adds to the event.
+agent.  It numbers the states once, in ``str`` order, and stores per agent
+each cell as a tuple of member ids, in input order, and each state's cell
+number by id.  Each partition is decided once, by the public constructor or
+by :func:`model_from_dict`; one private builder stores the ids it is given
+and trusts them, and ``truncated_model`` hands it cells right by
+construction.  Every walk and the union-find meet read those ids and hash no
+state.  ``partition`` builds an agent's frozensets of states only when asked
+and caches them, and ``cell`` reads that cache.  ``knows`` keeps the cached
+cells that the event's member set is a superset of.  The link of an event
+through an agent's partition collects every state sharing a cell with the
+event; iterating the group link induces a breadth-first metric whose
+connected components are the carrier's reachability classes.  On a finite
+carrier both walks are linear in the states they reach.  One id walk, from
+one or several start ids and ``n`` steps deep where given, returns the visit
+order and a list of distances by id, and each caller maps back to states only
+what it returns.
 On top of that sit the knowledge operators and two common-knowledge tests:
 the classical one (the closure of the true state lies inside the event) and
 the subjective one (nothing outside the event is at finite link distance
@@ -87,45 +86,46 @@ class AumannModel:
         agents: Iterable[Agent],
         partitions: Mapping[Agent, Iterable[Iterable[State]]],
     ):
-        self._agents = tuple(agents)
-        if not self._agents:
+        agents = tuple(agents)
+        if not agents:
             raise ValueError("a model needs at least one agent")
-        if len(set(self._agents)) != len(self._agents):
+        if len(set(agents)) != len(agents):
             raise ValueError("agent names must be distinct")
-        # Per agent, in input order: each cell as a tuple of member ids, and
-        # each state's cell number by id.  The states are the first agent's.
-        self._parts: dict = {}
-        for agent in self._agents:
+        parts: dict = {}  # per agent, each cell as a tuple of member ids
+        for agent in agents:
             if agent not in partitions:
                 raise ValueError(f"missing partition for agent {agent!r}")
             cells = list(map(tuple, partitions[agent]))
-            if not self._parts:
-                self._states = tuple(sorted(dict.fromkeys(chain.from_iterable(cells)), key=str))
-                self._id_of = dict(zip(self._states, range(len(self._states))))
-            n = len(self._states)
-            get = self._id_of.get  # None for a state off the carrier
-            members = tuple([tuple(map(get, cell)) for cell in cells])
-            ids = set(chain.from_iterable(members))
-            # No cell empty and every id once: a partition of the carrier.
-            # Otherwise a scan over the states names the first fault, or finds
-            # none where a cell only repeats a state.
-            if not (all(cells) and None not in ids and len(ids) == n == sum(map(len, cells))):
-                seen: dict = {}
-                for k, cell in enumerate(cells):
-                    if not cell:
-                        raise ValueError(f"agent {agent!r} has an empty cell")
-                    for s in cell:
-                        if seen.setdefault(s, k) != k:
-                            raise ValueError(f"state {s!r} lies in two cells of agent {agent!r}")
-                if seen.keys() != self._id_of.keys():
-                    raise ValueError(f"agent {agent!r} partitions a different carrier")
-            of = [None] * n
+            seen: dict = {}  # each state's cell number; a cell may repeat a state
+            for k, cell in enumerate(cells):
+                if not cell:
+                    raise ValueError(f"agent {agent!r} has an empty cell")
+                for s in cell:
+                    if seen.setdefault(s, k) != k:
+                        raise ValueError(f"state {s!r} lies in two cells of agent {agent!r}")
+            if not parts:  # the states are the first agent's, numbered in str order
+                id_of = dict(zip(sorted(seen, key=str), range(len(seen))))
+                get = id_of.get
+            elif seen.keys() != id_of.keys():
+                raise ValueError(f"agent {agent!r} partitions a different carrier")
+            parts[agent] = tuple([tuple(map(get, cell)) for cell in cells])
+        self._build(id_of, parts)
+
+    def _build(self, id_of: dict, parts: dict) -> "AumannModel":
+        """The model on ids it trusts: ``id_of`` in str order, ``parts`` each agent's cells."""
+        self._agents = tuple(parts)
+        self._id_of = id_of
+        self._states = tuple(id_of)
+        self._parts: dict = {}  # per agent: the member-id cells, each state's cell by id
+        for agent, members in parts.items():
+            of = [None] * len(id_of)
             for k, cell in enumerate(members):
                 for i in cell:
                     of[i] = k
             self._parts[agent] = (members, of)
         self._index: Optional[tuple] = None
         self._partitions: dict = {}
+        return self
 
     @property
     def agents(self) -> tuple:
@@ -492,28 +492,30 @@ def model_from_dict(payload: Any) -> tuple:
     Each field is read once, in order, and first tested with C-level
     operations on exact types: the states' types; per agent its cells' and
     members' types, no empty cell, its member count and its coverage of the
-    states, which together decide the partition; per event its members'
-    types and that they are states.  Only where such a test fails is that
-    field read state by state, which raises at its first fault or finds
-    none (str or list subclasses).
+    states, read off each member's id, which together decide the partition;
+    per event its members' types and that they are states.  Only where such
+    a test fails is that field read state by state, which raises at its
+    first fault or finds none (str or list subclasses).
     """
     if not isinstance(payload, dict):
         raise ModelFormatError("$", "document must be a JSON object")
     states = payload.get("states")
     if not isinstance(states, list) or not states:
         raise ModelFormatError("states", "expected a nonempty list of state names")
-    if set(map(type, states)) != {str}:
+    key = None if set(map(type, states)) == {str} else str  # exact str sorts alike without it
+    if key:
         for i, s in enumerate(states):
             if not isinstance(s, str):
                 raise ModelFormatError(f"states[{i}]", "state names must be strings")
-    carrier = set(states)
-    if len(carrier) != len(states):
+    id_of = dict(zip(sorted(states, key=key), range(len(states))))
+    if len(id_of) != len(states):
         raise ModelFormatError("states", "state names must be unique")
+    get = id_of.get  # None for a member off the carrier
 
     specs = payload.get("agents")
     if not isinstance(specs, list) or not specs:
         raise ModelFormatError("agents", "expected a nonempty list of agents")
-    partitions: dict = {}
+    partitions: dict = {}  # per agent, each cell as a tuple of member ids
     for i, spec in enumerate(specs):
         base = f"agents[{i}]"
         if not isinstance(spec, dict):
@@ -526,30 +528,27 @@ def model_from_dict(payload: Any) -> tuple:
         cells = spec.get("partition")
         if not isinstance(cells, list) or not cells:
             raise ModelFormatError(f"{base}.partition", "expected a nonempty list of cells")
-        # As many str members as states, covering them all: each state once.
-        # The types come first: an unhashable member makes the coverage test raise.
-        if not (
-            set(map(type, cells)) == {list}
-            and set(map(type, chain.from_iterable(cells))) == {str}
-            and all(cells)
-            and sum(map(len, cells)) == len(states)
-            and not carrier.difference(chain.from_iterable(cells))
-        ):
+        # As many str members and distinct ids as states, and no id None: each
+        # state once.  Only str members of list cells get ids (get hashes them).
+        typed = set(map(type, cells)) == {list} and set(map(type, chain(*cells))) == {str}
+        members = tuple([tuple(map(get, cell)) for cell in cells]) if typed else ()
+        ids = set(chain.from_iterable(members))
+        if not (len(ids) == len(id_of) == sum(map(len, cells)) and None not in ids and all(cells)):
             seen: set = set()
             for j, cell in enumerate(cells):
                 where = f"{base}.partition[{j}]"
                 if not isinstance(cell, list) or not cell:
                     raise ModelFormatError(where, "cells are nonempty lists of states")
                 for s in cell:
-                    if not (isinstance(s, str) and s in carrier):
+                    if not (isinstance(s, str) and s in id_of):
                         raise ModelFormatError(where, f"unknown state {s!r}")
                     if s in seen:
                         raise ModelFormatError(where, f"state {s!r} appears in two cells")
                     seen.add(s)
-            missing = sorted(carrier - seen)
+            missing = sorted(id_of.keys() - seen)
             if missing:
                 raise ModelFormatError(f"{base}.partition", f"states not covered: {missing}")
-        partitions[name] = cells
+        partitions[name] = members or tuple([tuple(map(get, cell)) for cell in cells])
 
     raw_events = payload.get("events", {})
     if not isinstance(raw_events, dict):
@@ -559,10 +558,10 @@ def model_from_dict(payload: Any) -> tuple:
         where = f"events.{name}"
         if not isinstance(members, list):
             raise ModelFormatError(where, "events are lists of states")
-        if not (set(map(type, members)) == {str} and carrier.issuperset(members)):
+        if not (set(map(type, members)) == {str} and all(map(id_of.__contains__, members))):
             for s in members:
-                if not (isinstance(s, str) and s in carrier):
+                if not (isinstance(s, str) and s in id_of):
                     raise ModelFormatError(where, f"unknown state {s!r}")
         events[name] = frozenset(members)
 
-    return AumannModel(list(partitions), partitions), events
+    return AumannModel.__new__(AumannModel)._build(id_of, partitions), events

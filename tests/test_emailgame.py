@@ -182,6 +182,25 @@ def test_truncated_model_shares_one_object_per_state(T):
             assert any(member is s for member in model.cell(agent, s))
 
 
+def test_truncated_model_is_the_model_the_constructor_checks():
+    """truncated_model hands its ids to the model unchecked; the public
+    constructor, given the same cells written out literally, decides them
+    and must build the same model."""
+    for T in range(1, 41):
+        model = truncated_model(T)
+        cells = {
+            agent: [[STATE_A if tag == "a" else state_b(t, t - tp) for tag, t, tp in c] for c in p]
+            for agent, p in truncation_partitions(T).items()
+        }
+        built = AumannModel((1, 2), cells)
+        assert model.states == built.states
+        assert model.agents == built.agents
+        assert model._parts == built._parts
+        for agent in (1, 2):
+            assert model.partition(agent) == built.partition(agent)
+        assert model.component_index() == built.component_index()
+
+
 counts = st.one_of(
     st.integers(1, 10**6).map(finite),
     st.tuples(st.integers(1, 3), st.integers(-50, 50)).map(lambda ck: huge(*ck)),

@@ -3,7 +3,7 @@ import random
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 import helpers
 from galaxyck import epistemic
@@ -996,6 +996,76 @@ def _read_as_subclassed(doc) -> bool:
 def test_model_from_dict_reads_a_document_as_its_subclass_copy(doc, data):
     assert _read_as_subclassed(doc)
     assert not _read_as_subclassed(_fault(data.draw, doc))
+
+
+@settings(max_examples=100, deadline=None)
+@given(model_documents())
+@example({"states": ["w2", "w1"], "agents": [{"name": "ann", "partition": [["w2", "w1"]]}]})
+@example(
+    {
+        "states": ["w1", "w2", "w3"],
+        "agents": [
+            {"name": "ann", "partition": [["w3"], ["w1"], ["w2"]]},
+            {"name": "bob", "partition": [["w2"], ["w3"], ["w1"]]},
+        ],
+    }
+)
+# str order puts w10 between w1 and w2, as no number order would.
+@example(
+    {
+        "states": ["w2", "w10", "w1", "v9"],
+        "agents": [
+            {"name": "bob", "partition": [["w2", "v9"], ["w1", "w10"]]},
+            {"name": "ann", "partition": [["w10"], ["w2", "w1", "v9"]]},
+        ],
+    }
+)
+# Every field fails its C-level test and is read state by state.
+@example(
+    _subclassed(
+        {
+            "states": ["w3", "w1", "w2"],
+            "agents": [
+                {"name": "ann", "partition": [["w1", "w2"], ["w3"]]},
+                {"name": "bob", "partition": [["w3", "w2"], ["w1"]]},
+            ],
+        }
+    )
+)
+def test_model_from_dict_builds_the_model_the_constructor_builds(doc):
+    """The reader builds its model on the ids it looked up, the public
+    constructor decides the same partitions itself: both models must agree
+    on the states, the stored ids, each partition and cell, the component
+    index and a walk from id 0."""
+    model = model_from_dict(doc)[0]
+    names = [spec["name"] for spec in doc["agents"]]
+    built = AumannModel(names, {spec["name"]: spec["partition"] for spec in doc["agents"]})
+    assert model.states == built.states
+    assert model.agents == built.agents == tuple(names)
+    assert model._parts == built._parts
+    for agent in names:
+        assert model.partition(agent) == built.partition(agent)
+        for s in built.states:
+            assert model.cell(agent, s) == built.cell(agent, s)
+    assert model.component_index() == built.component_index()
+    assert model._walk((0,)) == built._walk((0,))
+
+
+@pytest.mark.parametrize(
+    "partition,field,message",
+    [
+        # As many members as states, one of them unknown: an id is None.
+        ([["w1", "w2"], ["zz"]], "agents[0].partition[1]", "unknown state 'zz'"),
+        # As many members as states, one of them twice: too few distinct ids.
+        ([["w1", "w2"], ["w1"]], "agents[0].partition[1]", "state 'w1' appears in two cells"),
+        ([["w1", "w2", "w3"], []], "agents[0].partition[1]", "cells are nonempty lists of states"),
+    ],
+)
+def test_model_from_dict_names_a_fault_that_the_member_count_hides(partition, field, message):
+    doc = {"states": ["w1", "w2", "w3"], "agents": [{"name": "ann", "partition": partition}]}
+    with pytest.raises(ModelFormatError) as err:
+        model_from_dict(doc)
+    assert (err.value.field, str(err.value)) == (field, f"{field}: {message}")
 
 
 _DOC = {
