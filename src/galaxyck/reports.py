@@ -19,7 +19,6 @@ _encode_str = json.encoder.encode_basestring_ascii
 _canonical_json = json.JSONEncoder(sort_keys=True).encode
 
 _int_text = int.__repr__
-_INF = float("inf")
 
 # Types with a branch of their own in jsonable; any other value renders by str.
 _NOT_BY_STR = (type(None), str, int, float, dict, set, frozenset, list, tuple, Fraction)
@@ -67,25 +66,23 @@ def jsonable(value: Any) -> Any:
 
 def _write(value: Any, newline: str) -> str:
     """The text of ``json.dumps(jsonable(value), indent=2)``, nested lines
-    starting with ``newline`` plus two spaces: the stdlib's pure-Python
-    indented path, escaped with its C routine and with no jsonable tree
-    but for a set of mixed types."""
+    starting with ``newline`` plus two spaces.  The shapes reports carry
+    (exact str and int, bools, non-empty lists, tuples and dicts, sets of
+    one type that jsonable renders by str, and Fractions) are written in one
+    pass, escaped with the stdlib's C routine; every other value is written
+    by that reference and re-indented."""
     if type(value) is str:
         return _encode_str(value)
     if type(value) is int:  # not bool, whose repr is not its JSON text
         return _int_text(value)
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
+    if isinstance(value, (list, tuple)) and value:
         inner = newline + "  "
         if set(map(type, value)) == {str}:  # a block of the meet: no call per state
             items = map(_encode_str, value)
         else:
             items = [_write(item, inner) for item in value]
         return f"[{inner}{(',' + inner).join(items)}{newline}]"
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
+    if isinstance(value, dict) and value:
         inner = newline + "  "
         # Keys through str first: two keys with one text keep the last value,
         # as in jsonable.
@@ -94,35 +91,20 @@ def _write(value: Any, newline: str) -> str:
             for k, v in {str(k): v for k, v in value.items()}.items()
         ]
         return f"{{{inner}{(',' + inner).join(items)}{newline}}}"
-    if isinstance(value, (set, frozenset)):
-        if not _one_str_type(value):
-            return _write(jsonable(value), newline)
+    if isinstance(value, (set, frozenset)) and _one_str_type(value):
         # Each label escaped once, and sorted by that text, as jsonable sorts.
         inner = newline + "  "
         return f"[{inner}{(',' + inner).join(sorted(map(_encode_str, map(str, value))))}{newline}]"
-    if value is None:
-        return "null"
     if value is True:
         return "true"
     if value is False:
         return "false"
-    if isinstance(value, int):  # an IntEnum: the stdlib writes int's repr
-        return _int_text(value)
-    if isinstance(value, float):
-        if value != value:
-            return "NaN"
-        if value == _INF:
-            return "Infinity"
-        if value == -_INF:
-            return "-Infinity"
-        return float.__repr__(value)
-    if isinstance(value, str):
-        return _encode_str(value)
     # Fraction last: it derives from an abstract base class, so isinstance
     # against it costs more than the tests above.
     if isinstance(value, Fraction):
         return f'"{value.numerator}/{value.denominator}"'
-    return _encode_str(str(value))
+    # An encoded string holds no raw newline, so this only re-indents.
+    return json.dumps(jsonable(value), indent=2).replace("\n", newline)
 
 
 @dataclass

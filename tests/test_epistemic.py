@@ -410,13 +410,13 @@ def test_finite_subjective_ck_never_searches(monkeypatch):
         for model in _several_component_models(rng, 5)
     ]
 
-    def no_search(self, origin):
+    def no_search(self, starts, depth=None):
         raise AssertionError("finite-carrier CK ran a breadth-first search")
 
     def no_region(model, event):
         raise AssertionError("finite-carrier CK built a region")
 
-    monkeypatch.setattr(AumannModel, "distances_from", no_search)
+    monkeypatch.setattr(AumannModel, "_walk", no_search)  # every breadth-first view reads it
     monkeypatch.setattr(epistemic, "ck_region", no_region)
     for model, closures in cases:
         for event in helpers.all_events(model.states):

@@ -179,14 +179,18 @@ write_values = st.recursive(
 @given(write_values)
 @example([math.nan, math.inf, -math.inf, True, False, None, Level.HIGH, Label("é")])
 @example((Fraction(-1, 3), Quoted("q"), {1: "int key", "1": "its text"}))
+# Values that _write hands to json.dumps, two levels deep: each is written
+# over several lines, which must start at their own depth.
+@example({"a": [[None, []], {1, "x"}, ()], "b": {}, "c": set()})
+@example(([{"k": [math.inf, {}]}, frozenset({Fraction(1, 2), "y"})], {2: [Level.LOW, Label("\n")]}))
 def test_write_is_json_dumps_of_jsonable_indent_2(value):
     assert _write(value, "\n") == json.dumps(jsonable(value), indent=2)
 
 
-def _cli_report(argv):
+def _cli_handler(argv):
+    """The report and the extras of a CLI command."""
     args = cli.build_parser().parse_args(argv)
-    report, extras = args.handler(args)
-    return report
+    return args.handler(args)
 
 
 def _knows_sweep():
@@ -202,6 +206,7 @@ _POINTS = [finite(1), finite(5), huge(1, -3), huge(1, 4), huge(2, 0)]
 _CUTOFF = CutoffStrategy.play_a_while_finite()
 _PARAMS = PayoffParams(2, 3, Fraction(1, 2), Fraction(1, 10))
 _MODEL_FILE = str(GOLDEN / "model-escapes.json")
+_MODEL_CHECK = ["model", "check", "--file", _MODEL_FILE, "--event", "rest", "--state", "plain"]
 
 # A report of every check kind, with sets, Fractions and huge counts, built
 # by name inside each test: collection runs no kernel, and the per-test time
@@ -218,11 +223,9 @@ REPORTS = {
         GeneratingSequence(lambda n: finite(n + 1))
     ).verify_generating_axioms(_POINTS, 4),
     "knows-sweep": _knows_sweep,
-    "model-check": lambda: _cli_report(
-        ["model", "check", "--file", _MODEL_FILE, "--event", "rest", "--state", "plain"]
-    ),
-    "ast-ck": lambda: _cli_report(["emailgame", "ast-ck", "--t", "w+0"]),
-    "sorites-demo": lambda: _cli_report(["sorites", "demo"]),
+    "model-check": lambda: _cli_handler(_MODEL_CHECK)[0],
+    "ast-ck": lambda: _cli_handler(["emailgame", "ast-ck", "--t", "w+0"])[0],
+    "sorites-demo": lambda: _cli_handler(["sorites", "demo"])[0],
 }
 
 
@@ -236,6 +239,23 @@ def _report(name):
 def test_to_json_is_json_dumps_of_to_dict(name):
     report = _report(name)
     assert report.to_json() == json.dumps(report.to_dict(), indent=2)
+
+
+@pytest.mark.parametrize("name", [*REPORTS, "model-check with its meet"])
+def test_to_json_writes_every_report_shape_itself(name, monkeypatch):
+    # Every report kind, and model check's meet extra, carries only the
+    # shapes _write writes in one pass: none reaches its json.dumps fallback.
+    if name in REPORTS:
+        report, extras = _report(name), None
+    else:
+        report, extras = _cli_handler(_MODEL_CHECK)
+    calls = []
+    dumps = json.dumps
+    monkeypatch.setattr(json, "dumps", lambda *a, **k: calls.append(a) or dumps(*a, **k))
+    text = report.to_json(extras)
+    monkeypatch.undo()
+    assert calls == []
+    assert text == json.dumps({**report.to_dict(), **jsonable(extras or {})}, indent=2)
 
 
 OWN_KEYS = ("check", "params", "cases", "pass")
