@@ -68,9 +68,10 @@ def _as_count(value: Union[int, HyperNat]) -> HyperNat:
 class EmailGameState:
     """A state ``(tag, t, t')`` with ``t' = t - delta``; ``t`` may be huge.
 
-    States compare by ``(tag, t, delta)``.  The hash and the label
-    ``(tag,t,t')`` are computed once, at construction: states are hashed on
-    every cell and set lookup, and labelled in every report that lists them.
+    States compare by ``(tag, t, delta)`` and hash by ``(t, delta)``, alike in
+    every process: ``t`` decides the tag.  The hash and the label ``(tag,t,t')``
+    are computed once, at construction: states are hashed on every cell and
+    set lookup, and labelled in every report that lists them.
     """
 
     tag: str
@@ -90,7 +91,7 @@ class EmailGameState:
             raise ValueError("the only a-state is (a,0,0)")
         if self.tag == "b" and self.t < _ONE:
             raise ValueError("b-states need t >= 1")
-        object.__setattr__(self, "_hash", hash((self.tag, self.t, self.delta)))
+        object.__setattr__(self, "_hash", hash((self.t, self.delta)))
         # Both counts written from t's fields: t' = t - delta has t's head.
         coeff, offset = self.t.omega_coeff, self.t.offset
         label = f"({self.tag},{_text(coeff, offset)},{_text(coeff, offset - self.delta)})"
@@ -98,10 +99,6 @@ class EmailGameState:
 
     def __hash__(self) -> int:
         return self._hash
-
-    def __reduce__(self) -> tuple:
-        # String hashes differ between processes: rebuild, never copy _hash.
-        return (EmailGameState, (self.tag, self.t, self.delta))
 
     @property
     def t_prime(self) -> HyperNat:

@@ -15,8 +15,8 @@ event; iterating the group link induces a breadth-first metric whose
 connected components are the carrier's reachability classes.  On a finite
 carrier both walks are linear in the states they reach.  One id walk, from
 one or several start ids and ``n`` steps deep where given, returns the visit
-order and a list of distances by id, and each caller maps back to states only
-what it returns.
+order and a list of distances by id (``components`` shares one list among
+its walks), and each caller maps back to states only what it returns.
 On top of that sit the knowledge operators and two common-knowledge tests:
 the classical one (the closure of the true state lies inside the event) and
 the subjective one (nothing outside the event is at finite link distance
@@ -164,13 +164,14 @@ class AumannModel:
         except KeyError as exc:
             self.cell(self._agents[0], exc.args[0])  # raises: not a state of the model
 
-    def _walk(self, starts: Iterable[int], depth: Optional[int] = None) -> tuple:
+    def _walk(self, starts: Iterable[int], depth: Optional[int] = None, dist=None) -> tuple:
         """The breadth-first walk from the distinct state ids ``starts``,
         ``depth`` steps deep where given: the reached ids in the order first
-        visited, and the link distances by id, None where unreached.  It
-        reads the cells' member ids and hashes no state."""
+        visited, and the link distances by id, None where unreached, in
+        ``dist`` where given, whose marked ids it never reaches.  It reads
+        the cells' member ids and hashes no state."""
         parts = tuple(self._parts.values())
-        dist = [None] * len(self._states)
+        dist = [None] * len(self._states) if dist is None else dist
         order = list(starts)
         for i in order:
             dist[i] = 0
@@ -206,17 +207,14 @@ class AumannModel:
         return frozenset(map(self._states.__getitem__, self._walk(self._ids((state,)))[0]))
 
     def components(self) -> tuple:
-        """Reachability components, via breadth-first closures."""
+        """Reachability components: one breadth-first walk each, on one distance list."""
         states = self._states
-        seen = [False] * len(states)
+        dist = [None] * len(states)
         comps = []
         for i in range(len(states)):
-            if seen[i]:
-                continue
-            order = self._walk((i,))[0]
-            for j in order:
-                seen[j] = True
-            comps.append(frozenset(map(states.__getitem__, order)))
+            if dist[i] is None:  # not reached by an earlier walk
+                order = self._walk((i,), dist=dist)[0]
+                comps.append(frozenset(map(states.__getitem__, order)))
         return tuple(comps)
 
     def component_index(self) -> tuple:

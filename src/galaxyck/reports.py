@@ -15,7 +15,7 @@ _encode_str = json.encoder.encode_basestring_ascii
 
 # Canonical JSON text, the sort key of set members and the values of a text
 # report: one encoder, where ``json.dumps(..., sort_keys=True)`` builds one per
-# call.  For a string it is _encode_str, which all-string sets use directly.
+# call.  For a string it is _encode_str, by which _write sorts one-type sets.
 _canonical_json = json.JSONEncoder(sort_keys=True).encode
 
 _int_text = int.__repr__
@@ -48,13 +48,7 @@ def jsonable(value: Any) -> Any:
     if isinstance(value, dict):
         return {str(k): jsonable(v) for k, v in value.items()}
     if isinstance(value, (set, frozenset)):
-        # Members all of one type that no branch here matches would each
-        # fall through to str: render them with one map.
-        rendered = list(map(str, value)) if _one_str_type(value) else [jsonable(v) for v in value]
-        try:
-            return sorted(rendered, key=_encode_str)
-        except TypeError:  # a member that is not a string
-            return sorted(rendered, key=_canonical_json)
+        return sorted(map(jsonable, value), key=_canonical_json)
     if isinstance(value, (list, tuple)):
         return [jsonable(v) for v in value]
     # Fraction last: it derives from an abstract base class, so isinstance

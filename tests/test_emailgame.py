@@ -266,16 +266,22 @@ def test_state_label_is_built_once_and_follows_every_copy(s, t, delta):
 
 
 def test_pickled_state_rehashes_in_another_process():
-    # The cached hash covers the tag string, whose hash differs per process.
-    env = subprocess_env(PYTHONHASHSEED="1")
+    # The cached hash covers (t, delta), whose hash is the same in every
+    # process whatever its string-hash seed; a pickle carries it as a field.
     script = (
         "import pickle, sys\n"
-        "from galaxyck.emailgame import state_b\n"
-        "sys.stdout.buffer.write(pickle.dumps([state_b(3, 1), state_b(3, 0)]))\n"
+        "from galaxyck.emailgame import STATE_A, state_b\n"
+        "from galaxyck.hypernat import huge\n"
+        "states = [STATE_A, state_b(3, 1), state_b(huge(1, -2))]\n"
+        "sys.stdout.buffer.write(pickle.dumps([states, [hash(s) for s in states]]))\n"
     )
-    out = subprocess.run([sys.executable, "-c", script], capture_output=True, env=env, check=True)
-    low, top = pickle.loads(out.stdout)
-    assert low in {state_b(3, 1)} and top in {state_b(3, 0)}
+    states = [STATE_A, state_b(3, 1), state_b(huge(1, -2))]
+    for seed in ("1", "2"):
+        env = subprocess_env(PYTHONHASHSEED=seed)
+        out = subprocess.run([sys.executable, "-c", script], capture_output=True, env=env, check=True)
+        clones, hashes = pickle.loads(out.stdout)
+        assert hashes == [hash(s) for s in states]
+        assert clones == states and set(clones) <= set(states)
 
 
 def test_classical_impossibility_report():

@@ -594,6 +594,27 @@ def test_meet_equals_components():
         assert meet_equals_galaxies(model).passed
 
 
+def test_components_walks_each_component_once_on_one_distance_list(monkeypatch):
+    # Linear as a count, not a clock: one walk per component, every walk
+    # filling the same list, so no state is read twice.
+    n = 2000
+    singletons = [[i] for i in range(n)]
+    model = AumannModel((1, 2), {1: singletons, 2: singletons})
+    dists = []
+    real = AumannModel._walk
+
+    def counting(self, *args, **kwargs):
+        order, dist = real(self, *args, **kwargs)
+        dists.append(dist)
+        return order, dist
+
+    monkeypatch.setattr(AumannModel, "_walk", counting)
+    assert len(model.components()) == n
+    assert len(dists) == n
+    assert len({id(dist) for dist in dists}) == 1
+    assert meet_equals_galaxies(model).passed
+
+
 def _several_component_models(rng, count):
     while count:
         model = helpers.random_model(rng, max_states=7)
