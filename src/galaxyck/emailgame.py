@@ -364,6 +364,10 @@ def best_response_check(
     if the preference ever differed across one huge cell the verdict would
     depend on unassigned probabilities, which the report flags as
     insufficient information.
+
+    Each distinct state's probability is computed once per audit and
+    shared by every cell that holds it: both agents' cells at one count,
+    and neighbouring counts' cells.  Nothing is kept once the audit returns.
     """
     strat = tuple(strategies)
     if len(strat) != 2:
@@ -378,6 +382,7 @@ def best_response_check(
         ),
     )
 
+    probs = {}
     for agent, own, other in ((1, strat[0], strat[1]), (2, strat[1], strat[0])):
         for count in counts:
             cellstates = sorted(cell_by_own_count(agent, count), key=str)
@@ -393,7 +398,10 @@ def best_response_check(
                     )
                 )
             if count.is_finite:
-                weights = [state_probability(s, params) for s in cellstates]
+                for s in cellstates:
+                    if s not in probs:
+                        probs[s] = state_probability(s, params)
+                weights = [probs[s] for s in cellstates]
                 base = weights[cellstates.index(min(cellstates, key=chain_position))]
                 weights = [w / base for w in weights]
                 total = sum(weights)

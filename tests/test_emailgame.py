@@ -700,6 +700,43 @@ def test_audit_matches_the_raw_weight_audit(params, m1, m2, counts):
     assert audit.to_json() == reference.to_json()
 
 
+def test_audit_matches_the_raw_weight_audit_on_shared_states():
+    # Repeated and adjacent counts make cells share states, within one
+    # agent and across the two; the huge count's pointwise cells carry no
+    # weights and are left out of the comparison.
+    finite_counts = [3, 2, 3, 0, 1, 3000, 3001, 3000]
+    strategies = (threshold(3), threshold(3001))
+    audit = best_response_check(strategies, PARAMS, [*finite_counts, huge(1, 0)])
+    reference = raw_weight_audit(strategies, PARAMS, finite_counts)
+    expected = [c for c in audit.cases if c.actual["basis"] == "expected"]
+    assert [c.to_dict() for c in expected] == [c.to_dict() for c in reference.cases]
+    assert len(expected) == 2 * len(finite_counts)
+
+
+def test_audit_computes_each_state_probability_once(monkeypatch):
+    # Agent 1's cell at count k holds chain positions 2k-1 and 2k, agent
+    # 2's holds 2k and 2k+1: one call per distinct state, and none kept
+    # from one audit to the next.
+    calls = []
+
+    def counting(s, params):
+        calls.append((s, params))
+        return state_probability(s, params)
+
+    monkeypatch.setattr(emailgame, "state_probability", counting)
+    cutoff = CutoffStrategy.play_a_while_finite()
+    other = PayoffParams(1, 1, Fraction(1, 3), Fraction(1, 7))
+    for counts, distinct in (([30000, 30001], 5), (range(0, 11), 22)):
+        for params in (PARAMS, other, PARAMS):
+            calls.clear()
+            best_response_check((cutoff, cutoff), params, counts)
+            assert len(calls) == len(set(calls)) == distinct
+            assert {p for _, p in calls} == {params}
+    calls.clear()
+    best_response_check((cutoff, cutoff), PARAMS, [huge(1, 0)])
+    assert calls == []
+
+
 def test_equilibrium_guard_flags_probability_dependent_huge_cells():
     cutoff = CutoffStrategy.play_a_while_finite()
     flip = CutoffStrategy(rule=lambda c: "A" if c == huge(1, -1) else "B")
