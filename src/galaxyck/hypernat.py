@@ -26,7 +26,7 @@ _GRAMMAR = re.compile(
         |
         (?:(?P<coeff>\d+)\s*\*\s*)?w\s*(?:(?P<sign>[+-])\s*(?P<off>\d+))?
     )\s*$""",
-    re.VERBOSE,
+    re.VERBOSE | re.ASCII,
 )
 
 
@@ -158,8 +158,8 @@ def _text(coeff: int, offset: int) -> str:
 
 def _make(omega_coeff: int, offset: int) -> HyperNat:
     """Unchecked constructor for results that are valid by construction:
-    sums, checked differences, nonnegative multiples and gaps of valid
-    values."""
+    sums, checked differences and nonnegative multiples of valid values.
+    ``gap`` builds its results the same way, in place."""
     value = object.__new__(HyperNat)
     _set_coeff(value, omega_coeff)
     _set_offset(value, offset)
@@ -196,10 +196,16 @@ def parse_hypernat(text: str) -> HyperNat:
 
 def gap(x: Union[HyperNat, int], y: Union[HyperNat, int]) -> HyperNat:
     """Absolute difference, the standard chain distance."""
-    a, b = _coerce(x), _coerce(y)
+    # The level test's hot path: an exact HyperNat skips _coerce, and the
+    # result is built in place as _make builds it.
+    a = x if type(x) is HyperNat else _coerce(x)
+    b = y if type(y) is HyperNat else _coerce(y)
     if a is None or b is None:
         raise TypeError("gap expects HyperNat or int endpoints")
     coeff, off = a.omega_coeff - b.omega_coeff, a.offset - b.offset
     if coeff < 0 or (coeff == 0 and off < 0):
         coeff, off = -coeff, -off
-    return _make(coeff, off)
+    value = object.__new__(HyperNat)
+    _set_coeff(value, coeff)
+    _set_offset(value, off)
+    return value

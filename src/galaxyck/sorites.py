@@ -84,7 +84,9 @@ class SoritesRelation:
             return False
         if n == 0:
             return d == 0
-        return d < self.gen.bound(n)
+        # A memo hit skips the call; bound() computes and checks every threshold.
+        t = self.gen._bounds.get(n)
+        return d < (t if t is not None else self.gen.bound(n))
 
     def related(self, x: Any, y: Any) -> bool:
         """True when the distance is finite, i.e. some finite level applies."""
@@ -105,19 +107,20 @@ class SoritesRelation:
         reflexivity: list = []
         symmetry: list = []
         composition: list = []
+        in_level = self.in_level
         for n in range(n_max + 1):
             for x in points:
-                if not self.in_level(n, x, x):
+                if not in_level(n, x, x):
                     reflexivity.append({"n": n, "x": str(x)})
             for x in points:
                 for y in points:
-                    xy = self.in_level(n, x, y)
-                    if xy != self.in_level(n, y, x):
+                    xy = in_level(n, x, y)
+                    if xy != in_level(n, y, x):
                         symmetry.append({"n": n, "x": str(x), "y": str(y)})
                     if not xy:
                         continue
                     for z in points:
-                        if self.in_level(n, y, z) and not self.in_level(n + 1, x, z):
+                        if in_level(n, y, z) and not in_level(n + 1, x, z):
                             composition.append({"n": n, "x": str(x), "y": str(y), "z": str(z)})
         report = CheckReport("generating-axioms", {"n_max": n_max, "sample_size": len(points)})
         for clause, bad in (

@@ -184,6 +184,14 @@ def test_emailgame_ast_ck():
     assert run_cli(["emailgame", "ast-ck", "--t", "blah"]).code == 2
 
 
+def test_count_flags_take_ascii_digits_only():
+    # "\u0663" is ARABIC-INDIC DIGIT THREE, which int() and a Unicode \d read as 3.
+    result = run_cli(["emailgame", "ast-ck", "--t", "\u0663"])
+    assert result.code == 2
+    assert result.stdout == ""
+    assert "cannot parse '\u0663' as a hyper-natural" in result.stderr
+
+
 def test_emailgame_monotone():
     result = run_cli(["emailgame", "monotone", "--samples", "0,4,w+0"])
     assert result.code == 0

@@ -6,6 +6,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
+from galaxyck import hypernat
 from galaxyck.emailgame import CutoffStrategy, _as_count
 from galaxyck.hypernat import HyperNat, finite, gap, huge, parse_hypernat
 from galaxyck.sorites import GeneratingSequence
@@ -115,7 +116,14 @@ def test_parse(text, value):
     assert parse_hypernat(text) == value
 
 
-@pytest.mark.parametrize("text", ["", "-3", "w*2", "2w", "w+", "x+1", "0*w+1", "1.5"])
+@pytest.mark.parametrize(
+    "text",
+    [
+        "", "-3", "w*2", "2w", "w+", "x+1", "0*w+1", "1.5",
+        # Digits and spaces are ASCII: no Arabic-Indic or fullwidth 3, no NBSP.
+        "\u0663", "\uff13", "w+\u0663", "\xa07",
+    ],
+)
 def test_parse_rejects(text):
     with pytest.raises(ValueError):
         parse_hypernat(text)
@@ -214,7 +222,21 @@ small = st.tuples(st.integers(0, 2), st.integers(-3, 3)).map(
     lambda ck: HyperNat(ck[0], ck[1] if ck[0] else abs(ck[1]))
 )
 values = st.one_of(small, hypernats)
-operands = st.one_of(values, st.integers(0, 10), st.integers(0, 10**6))
+
+
+class Count(HyperNat):
+    """A HyperNat subclass: the operators reach it through ``_coerce``, the
+    path every operand that is not an exact HyperNat takes."""
+
+    __slots__ = ()
+
+
+operands = st.one_of(
+    values,
+    values.map(lambda v: Count(v.omega_coeff, v.offset)),
+    st.integers(0, 10),
+    st.integers(0, 10**6),
+)
 
 ORDERS = [operator.lt, operator.le, operator.gt, operator.ge, operator.eq, operator.ne]
 
@@ -255,6 +277,23 @@ def test_add_sub_gap_match_tuple_arithmetic(x, y):
     expected_gap = (max(a, b)[0] - min(a, b)[0], max(a, b)[1] - min(a, b)[1])
     assert revalidated(gap(x, y)) == expected_gap
     assert revalidated(gap(y, x)) == expected_gap
+
+
+def test_gap_coerces_only_what_is_not_an_exact_hypernat(monkeypatch):
+    calls = []
+
+    def counted(value):
+        calls.append(value)
+        return coerce(value)
+
+    coerce = hypernat._coerce
+    monkeypatch.setattr(hypernat, "_coerce", counted)
+    assert gap(finite(3), huge(1, -2)) == huge(1, -5)
+    assert calls == []
+    assert gap(3, finite(1)) == finite(2)
+    assert calls == [3]
+    assert type(gap(Count(0, 4), finite(1))) is HyperNat
+    assert calls == [3, Count(0, 4)]
 
 
 @given(values, st.integers(0, 50))

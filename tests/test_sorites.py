@@ -1,8 +1,11 @@
+import dataclasses
+
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 
 from galaxyck.hypernat import finite, gap, huge
+from galaxyck.reports import CheckReport
 from galaxyck.sorites import GeneratingSequence, SoritesRelation, chain_relation
 
 finites = st.integers(0, 10_000).map(finite)
@@ -143,6 +146,43 @@ def test_bounds_are_memoized_per_level():
     assert repr(gen) == repr(GeneratingSequence(ladder))
 
 
+def test_an_audit_computes_each_threshold_once(monkeypatch):
+    calls = []
+    bound = GeneratingSequence.bound
+
+    def counted(gen, n):
+        calls.append(n)
+        return bound(gen, n)
+
+    monkeypatch.setattr(GeneratingSequence, "bound", counted)
+    rel = chain_relation(GeneratingSequence.powers_of_two())
+    report = rel.verify_generating_axioms([finite(k) for k in range(12)], 4)
+    assert report.passed
+    # n_max + 1 calls: level 0 needs no threshold, levels 1..n_max+1 one each.
+    assert sorted(calls) == [1, 2, 3, 4, 5]
+
+
+def _counted_audit(S):
+    """Distance calls of the ``2**n`` chain audit of ``finite(0..S-1)`` at ``n_max=4``."""
+    calls = []
+    rel = chain_relation()
+
+    def dist(x, y):
+        calls.append(None)
+        return rel.dist(x, y)
+
+    dataclasses.replace(rel, dist=dist).verify_generating_axioms([finite(k) for k in range(S)], 4)
+    return len(calls)
+
+
+def test_the_audit_work_is_pinned_as_a_count():
+    # One distance per level test: O(n*S**3) of them, so doubling S may at
+    # most multiply them by 8.
+    small, large = _counted_audit(10), _counted_audit(20)
+    assert (small, large) == (6280, 32090)
+    assert large <= 8 * small
+
+
 def test_chain_walk_never_exits_at_finite_steps():
     rel = chain_relation()
     a1 = finite(1)
@@ -239,3 +279,84 @@ def test_axiom_audit_of_huge_points_maps_onto_finite_points(sample, ladder, n_ma
                 for witness in case.actual
             ]
     assert mapped.to_json() == rel.verify_generating_axioms(sample, n_max).to_json()
+
+
+# --- the audit against a plain triple loop over the public level test -------
+
+
+def reference_audit(rel, sample, n_max):
+    """The axiom audit as three independent loops over ``rel.in_level``."""
+    points = list(sample)
+    levels = range(n_max + 1)
+    reflexivity = [
+        {"n": n, "x": str(x)} for n in levels for x in points if not rel.in_level(n, x, x)
+    ]
+    symmetry = [
+        {"n": n, "x": str(x), "y": str(y)}
+        for n in levels
+        for x in points
+        for y in points
+        if rel.in_level(n, x, y) != rel.in_level(n, y, x)
+    ]
+    composition = [
+        {"n": n, "x": str(x), "y": str(y), "z": str(z)}
+        for n in levels
+        for x in points
+        for y in points
+        for z in points
+        if rel.in_level(n, x, y) and rel.in_level(n, y, z) and not rel.in_level(n + 1, x, z)
+    ]
+    report = CheckReport("generating-axioms", {"n_max": n_max, "sample_size": len(points)})
+    for clause, bad in (
+        ("reflexivity", reflexivity),
+        ("symmetry", symmetry),
+        ("composition", composition),
+    ):
+        report.add({"clause": clause}, "no violations", bad or "no violations", not bad)
+    return report
+
+
+LADDERS = {
+    "2^n": lambda n: finite(2**n),
+    "n+1": lambda n: finite(n + 1),
+    "2n+1": lambda n: 2 * n + 1,
+    "huge at 3": lambda n: huge(1, 0) if n >= 3 else finite(2**n),
+}
+
+
+def _skewed(x, y):
+    """Asymmetric and never zero: one step longer unless ``x < y``."""
+    return gap(x, y) if x < y else gap(x, y) + 1
+
+
+def _same_tier(x, y):
+    """No distance between points of different tiers."""
+    return gap(x, y) if x.omega_coeff == y.omega_coeff else None
+
+
+DISTANCES = {"gap": gap, "skewed": _skewed, "same tier": _same_tier}
+# Few values per tier, so draws repeat points and land in each other's levels.
+mixed_points = st.one_of(
+    st.integers(0, 9).map(finite),
+    st.integers(-4, 4).map(lambda k: huge(1, k)),
+    st.integers(-2, 2).map(lambda k: huge(2, k)),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(mixed_points, max_size=7),
+    st.sampled_from(sorted(LADDERS)),
+    st.sampled_from(sorted(DISTANCES)),
+    st.integers(0, 4),
+)
+# Fixed cases: every clause fails, a distance is None, a threshold is huge.
+@example([finite(0), finite(2), finite(4), finite(4), huge(1, 0)], "n+1", "skewed", 3)
+@example([finite(0), finite(5), huge(1, 1), huge(2, 0)], "huge at 3", "same tier", 4)
+def test_audit_matches_a_triple_loop_over_in_level(sample, ladder, distance, n_max):
+    def rel():  # each side gets a ladder with its own memo
+        return SoritesRelation(DISTANCES[distance], GeneratingSequence(LADDERS[ladder]))
+
+    assert rel().verify_generating_axioms(sample, n_max).to_json() == reference_audit(
+        rel(), sample, n_max
+    ).to_json()
