@@ -1,7 +1,8 @@
 """Command-line front end: run the checks, emit deterministic reports.
 
 Exit codes: 0 when the requested check passes, 1 when it fails, 2 on usage
-or validation errors, 3 when the program itself fails (an internal error).
+or validation errors, 3 when the program itself fails (an internal error) or
+cannot write its report.
 """
 
 from __future__ import annotations
@@ -9,6 +10,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import os
 import sys
 from typing import Optional
 
@@ -131,11 +133,12 @@ def cmd_model_check(args) -> tuple:
 
 
 def cmd_email_impossibility(args) -> tuple:
-    if args.truncation < 1:
+    truncation = _finite_sample(args.truncation)
+    if truncation < 1:
         raise UsageError("--T must be >= 1")
-    if args.truncation > MAX_T:
+    if truncation > MAX_T:
         raise UsageError(f"--T must be <= {MAX_T}")
-    return check_classical_impossibility(args.truncation), None
+    return check_classical_impossibility(int(truncation)), None
 
 
 def cmd_email_ast_ck(args) -> tuple:
@@ -159,9 +162,12 @@ def cmd_email_monotone(args) -> tuple:
 
 
 def _check_payoff_length(name: str, text: str) -> None:
-    """Bound a payoff parameter before Fraction reads it: neither its numerator
-    nor its denominator has more digits than the text plus its exponent.
-    Fraction strips every str.isspace() character, int() not all of them."""
+    """Hold a payoff parameter to ASCII with no '_', and bound it, before
+    Fraction reads it: Fraction and int() take any Unicode digit and '_'
+    between digits.  Neither its numerator nor its denominator has more
+    digits than the text plus its exponent."""
+    if not text.isascii() or "_" in text:
+        raise UsageError(f"--{name} is written in ASCII, with no '_'")
     try:
         size = len(text) + abs(int(text.strip().lower().partition("e")[2] or 0))
     except ValueError:  # no number, which Fraction rejects, or too long for int()
@@ -234,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
     email_sub = email.add_subparsers(dest="subcommand", required=True)
 
     imp = email_sub.add_parser("impossibility", help="B is nowhere classical common knowledge")
-    imp.add_argument("--T", dest="truncation", type=int, default=50, help="truncation bound")
+    imp.add_argument("--T", dest="truncation", default="50", help="truncation bound")
     _add_format(imp)
     imp.set_defaults(handler=cmd_email_impossibility)
 
@@ -274,7 +280,14 @@ def main(argv: Optional[list] = None) -> int:
     args = parser.parse_args(argv)
     try:
         report, extras = args.handler(args)
-        print(_render(report, extras, args.format))
+        text = _render(report, extras, args.format)
+        try:
+            print(text, flush=True)
+        except OSError as exc:  # a closed pipe or a full device
+            _stdout_to_devnull()
+            reason = "".join(str(exc).splitlines()[:1])
+            print(f"error: cannot write the report: {reason}", file=sys.stderr)
+            return EXIT_INTERNAL
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -283,6 +296,19 @@ def main(argv: Optional[list] = None) -> int:
         print(f"error: internal error: {': '.join(detail)}", file=sys.stderr)
         return EXIT_INTERNAL
     return EXIT_PASS if report.passed else EXIT_FAIL
+
+
+def _stdout_to_devnull() -> None:
+    """Point stdout's descriptor at os.devnull, so that the flush at exit
+    does not fail again (the note on SIGPIPE in the docs of Python's signal
+    module).  An in-memory stream has no descriptor and is left as it is."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, io.UnsupportedOperation):
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
 
 
 def _render(report: CheckReport, extras: Optional[dict], fmt: str) -> str:

@@ -112,15 +112,20 @@ class SoritesRelation:
             for x in points:
                 if not in_level(n, x, x):
                     reflexivity.append({"n": n, "x": str(x)})
+            # y's level-n row, the z with in_level(n, y, z) in sample order:
+            # built when an x first needs it, shared by every later x.
+            rows: list = [None] * len(points)
             for x in points:
-                for y in points:
+                for j, y in enumerate(points):
                     xy = in_level(n, x, y)
                     if xy != in_level(n, y, x):
                         symmetry.append({"n": n, "x": str(x), "y": str(y)})
                     if not xy:
                         continue
-                    for z in points:
-                        if in_level(n, y, z) and not in_level(n + 1, x, z):
+                    if rows[j] is None:
+                        rows[j] = [z for z in points if in_level(n, y, z)]
+                    for z in rows[j]:
+                        if not in_level(n + 1, x, z):
                             composition.append({"n": n, "x": str(x), "y": str(y), "z": str(z)})
         report = CheckReport("generating-axioms", {"n_max": n_max, "sample_size": len(points)})
         for clause, bad in (

@@ -1,4 +1,5 @@
 import contextlib
+import errno
 import io
 import json
 import os
@@ -192,6 +193,32 @@ def test_count_flags_take_ascii_digits_only():
     assert "cannot parse '\u0663' as a hyper-natural" in result.stderr
 
 
+@pytest.mark.parametrize("text", ["\u0663", "1_0", "+3"])
+def test_truncation_is_read_in_the_count_grammar(text):
+    # int() reads all three: as 3, 10 and 3.
+    result = run_cli(["emailgame", "impossibility", "--T", text])
+    assert result.code == 2
+    assert result.stdout == ""
+    assert result.stderr == f"error: cannot parse {text!r} {_GRAMMAR_HINT}\n"
+
+
+@pytest.mark.parametrize(
+    "name,text",
+    # "\u0662" is ARABIC-INDIC DIGIT TWO; Fraction reads these as 2, 10 and 2.
+    [("M", "\u0662"), ("eps", "1_0"), ("L", "1_0"), ("p", "1/\u0662"), ("M", "2\xa0")],
+)
+def test_payoff_flags_take_ascii_without_underscores(name, text):
+    result = run_cli(["emailgame", "equilibrium", f"--{name}", text])
+    assert result.code == 2
+    assert result.stdout == ""
+    assert result.stderr == f"error: --{name} is written in ASCII, with no '_'\n"
+
+
+def test_payoff_flags_keep_every_documented_form():
+    for text in ("2", "5/2", " 1/3 ", "0.25", "1e-1", "1.5E+0"):
+        assert run_cli(["emailgame", "equilibrium", "--L", text]).code == 0, text
+
+
 def test_emailgame_monotone():
     result = run_cli(["emailgame", "monotone", "--samples", "0,4,w+0"])
     assert result.code == 0
@@ -377,6 +404,8 @@ def test_missing_subcommand_is_usage_error():
     [
         (RuntimeError("boom\nsecond line"), "error: internal error: RuntimeError: boom"),
         (MemoryError(), "error: internal error: MemoryError"),
+        # Only an error in writing the report is a failed write.
+        (OSError("disk gone"), "error: internal error: OSError: disk gone"),
     ],
 )
 def test_internal_error_exits_three(monkeypatch, exc, line):
@@ -392,7 +421,7 @@ def test_internal_error_exits_three(monkeypatch, exc, line):
 
 class UnwritableStdout(io.StringIO):
     def write(self, text):
-        raise OSError("no space left")
+        raise OSError("no space left\nsecond line")
 
 
 def test_failed_report_write_exits_three():
@@ -400,4 +429,18 @@ def test_failed_report_write_exits_three():
     with contextlib.redirect_stdout(UnwritableStdout()), contextlib.redirect_stderr(err):
         code = cli.main(["emailgame", "impossibility", "--T", "5"])
     assert code == cli.EXIT_INTERNAL
-    assert err.getvalue() == "error: internal error: OSError: no space left\n"
+    assert err.getvalue() == "error: cannot write the report: no space left\n"
+
+
+def test_a_closed_pipe_leaves_the_stream_on_devnull():
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    err = io.StringIO()
+    with open(write_end, "w", encoding="utf-8") as stream:
+        with contextlib.redirect_stdout(stream), contextlib.redirect_stderr(err):
+            code = cli.main(["emailgame", "impossibility", "--T", "5"])
+        # What the stream still holds now goes to os.devnull, without an error.
+        assert os.path.samestat(os.fstat(write_end), os.stat(os.devnull))
+    assert code == cli.EXIT_INTERNAL
+    broken = BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
+    assert err.getvalue() == f"error: cannot write the report: {broken}\n"

@@ -6,7 +6,9 @@ the process itself: the ``__main__`` module, the exit status that
 ``sys.exit`` hands the shell, and reports that do not depend on the hash seed.
 """
 
+import errno
 import json
+import os
 import subprocess
 import sys
 
@@ -56,3 +58,39 @@ def test_reports_are_deterministic():
     for name in ("equilibrium-default", "model-classical-pass"):
         for seed in ("1", "2"):
             assert json.loads(run_module(name, PYTHONHASHSEED=seed).stdout)  # round-trips
+
+
+def cannot_write(code):
+    """The stderr of a report that could not be written, for an errno."""
+    return f"error: cannot write the report: {OSError(code, os.strerror(code))}\n".encode()
+
+
+def test_a_closed_stdout_exits_three_with_one_line():
+    # About 1.5 MB of report, more than a pipe holds: the child is still
+    # writing when the reader closes its end after the first line.
+    probes = ",".join(map(str, range(10_000)))
+    child = subprocess.Popen(
+        [sys.executable, "-m", "galaxyck", "sorites", "demo", "--probes", probes],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=subprocess_env(),
+    )
+    assert child.stdout.readline() == b"{\n"
+    child.stdout.close()
+    assert child.wait(timeout=60) == 3  # stderr is one short line: no pipe fills
+    assert child.stderr.read() == cannot_write(errno.EPIPE)
+    child.stderr.close()
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
+def test_a_full_device_exits_three_with_one_line():
+    with open("/dev/full", "wb") as full:
+        result = subprocess.run(
+            [sys.executable, "-m", "galaxyck", "emailgame", "impossibility", "--T", "5"],
+            stdout=full,
+            stderr=subprocess.PIPE,
+            env=subprocess_env(),
+            timeout=60,
+        )
+    assert result.returncode == 3
+    assert result.stderr == cannot_write(errno.ENOSPC)

@@ -1,4 +1,5 @@
 import dataclasses
+from collections import Counter
 
 import hypothesis.strategies as st
 import pytest
@@ -177,9 +178,9 @@ def _counted_audit(S):
 
 def test_the_audit_work_is_pinned_as_a_count():
     # One distance per level test: O(n*S**3) of them, so doubling S may at
-    # most multiply them by 8.
+    # most multiply them by 8.  Each y's level-n row is tested once per level.
     small, large = _counted_audit(10), _counted_audit(20)
-    assert (small, large) == (6280, 32090)
+    assert (small, large) == (3880, 17490)
     assert large <= 8 * small
 
 
@@ -360,3 +361,56 @@ def test_audit_matches_a_triple_loop_over_in_level(sample, ladder, distance, n_m
     assert rel().verify_generating_axioms(sample, n_max).to_json() == reference_audit(
         rel(), sample, n_max
     ).to_json()
+
+
+def looped_level_tests(rel, points, n_max):
+    """The ``(n, x, y)`` of every ``in_level`` call of the audit's loops when
+    each x tests y's level-n row again.  A test of a row comes as
+    ``((n, j, i), test)``, j the sample position of y and i that of the x
+    it tests the row for; every other test as ``(None, test)``."""
+    for n in range(n_max + 1):
+        for x in points:
+            yield None, (n, x, x)
+        for i, x in enumerate(points):
+            for j, y in enumerate(points):
+                yield None, (n, x, y)
+                yield None, (n, y, x)
+                if not rel.in_level(n, x, y):
+                    continue
+                for z in points:
+                    yield (n, j, i), (n, y, z)
+                    if rel.in_level(n, y, z):
+                        yield None, (n + 1, x, z)
+
+
+@pytest.mark.parametrize(
+    "sample,ladder,distance,n_max",
+    [
+        ([finite(0), finite(2), finite(4), finite(4), huge(1, 0)], "n+1", "skewed", 3),
+        ([finite(0), finite(5), huge(1, 1), huge(2, 0)], "huge at 3", "same tier", 4),
+        ([finite(k) for k in range(10)], "2^n", "gap", 4),
+    ],
+    ids=["skewed", "same-tier", "counted-chain"],
+)
+def test_the_audit_tests_each_row_once_per_level(monkeypatch, sample, ladder, distance, n_max):
+    rel = SoritesRelation(DISTANCES[distance], GeneratingSequence(LADDERS[ladder]))
+    looped = list(looped_level_tests(rel, sample, n_max))
+    calls = []
+    in_level = SoritesRelation.in_level
+
+    def recorded(self, n, x, y):
+        calls.append((n, x, y))
+        return in_level(self, n, x, y)
+
+    monkeypatch.setattr(SoritesRelation, "in_level", recorded)
+    rel.verify_generating_axioms(sample, n_max)
+    # No level test the loops did not make, and none of theirs left out ...
+    assert set(calls) == {test for _, test in looped}
+    # ... and each row tested once per level, for the first x that needs it;
+    # every other test as often as the loops make it.
+    first_x: dict = {}
+    for row, _ in looped:
+        if row is not None:
+            first_x.setdefault(row[:2], row[2])
+    once = [test for row, test in looped if row is None or first_x[row[:2]] == row[2]]
+    assert Counter(calls) == Counter(once)
