@@ -16,6 +16,7 @@ concrete sample.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Optional
 
@@ -25,6 +26,16 @@ from .reports import CheckReport
 __all__ = ["GeneratingSequence", "SoritesRelation", "chain_relation"]
 
 Distance = Callable[[Any, Any], Optional[HyperNat]]
+
+
+def _level(n_max: int) -> int:
+    """``n_max`` as a plain int level; a bool is not a count, as in ``_coerce``."""
+    if isinstance(n_max, bool):
+        raise TypeError("n_max is an int level, not a bool")
+    n = operator.index(n_max)
+    if n < 0:
+        raise ValueError("ladder levels are nonnegative")
+    return n
 
 
 @dataclass(frozen=True)
@@ -56,9 +67,10 @@ class GeneratingSequence:
         return t
 
     def doubling_violations(self, n_max: int) -> list:
-        """Levels ``n < n_max`` at which the ladder is unsound."""
+        """Levels ``n < n_max`` at which the ladder is unsound; ``n_max`` is
+        a nonnegative int (``operator.index``), not a bool."""
         bad = []
-        for n in range(n_max):
+        for n in range(_level(n_max)):
             lo, hi = self.bound(n), self.bound(n + 1)
             if not (lo.is_finite and hi.is_finite) or not lo < hi or lo * 2 > hi:
                 bad.append(n)
@@ -101,21 +113,31 @@ class SoritesRelation:
         """Audit reflexivity, symmetry and step composition on a sample.
 
         Composition demands that two level-``n`` steps land within level
-        ``n+1``; every violated tuple is listed in the report.
+        ``n+1``; every violated tuple is listed in the report.  ``n_max`` is
+        a nonnegative int (``operator.index``), not a bool.
         """
+        n_max = _level(n_max)
         points = list(sample)
         reflexivity: list = []
         symmetry: list = []
         composition: list = []
         in_level = self.in_level
+
+        def row(n: int, x: Any) -> int:
+            """x's level-n row: bit k is set when ``in_level(n, x, z_k)``."""
+            return sum(1 << k for k, z in enumerate(points) if in_level(n, x, z))
+
+        # rows[j] is y_j's level-n row, or None until an x first relates to
+        # y_j; level n-1 hands over the rows it built as its level-(n+1) rows.
+        rows: list = [None] * len(points)
         for n in range(n_max + 1):
             for x in points:
                 if not in_level(n, x, x):
                     reflexivity.append({"n": n, "x": str(x)})
-            # y's level-n row, the z with in_level(n, y, z) in sample order:
-            # built when an x first needs it, shared by every later x.
-            rows: list = [None] * len(points)
-            for x in points:
+            # above[i] is x_i's level-(n+1) row, built when x_i first relates
+            # to some y.
+            above: list = [None] * len(points)
+            for i, x in enumerate(points):
                 for j, y in enumerate(points):
                     xy = in_level(n, x, y)
                     if xy != in_level(n, y, x):
@@ -123,10 +145,18 @@ class SoritesRelation:
                     if not xy:
                         continue
                     if rows[j] is None:
-                        rows[j] = [z for z in points if in_level(n, y, z)]
-                    for z in rows[j]:
-                        if not in_level(n + 1, x, z):
-                            composition.append({"n": n, "x": str(x), "y": str(y), "z": str(z)})
+                        rows[j] = row(n, y)
+                    if above[i] is None:
+                        above[i] = row(n + 1, x)
+                    # The z within level n of y but not within level n+1 of
+                    # x, in sample order.
+                    escaped = rows[j] & ~above[i]
+                    while escaped:
+                        low = escaped & -escaped
+                        z = points[low.bit_length() - 1]
+                        composition.append({"n": n, "x": str(x), "y": str(y), "z": str(z)})
+                        escaped ^= low
+            rows = above
         report = CheckReport("generating-axioms", {"n_max": n_max, "sample_size": len(points)})
         for clause, bad in (
             ("reflexivity", reflexivity),

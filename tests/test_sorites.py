@@ -1,5 +1,5 @@
 import dataclasses
-from collections import Counter
+from itertools import groupby
 
 import hypothesis.strategies as st
 import pytest
@@ -177,11 +177,54 @@ def _counted_audit(S):
 
 
 def test_the_audit_work_is_pinned_as_a_count():
-    # One distance per level test: O(n*S**3) of them, so doubling S may at
-    # most multiply them by 8.  Each y's level-n row is tested once per level.
+    # One distance per level test: O(n*S**2) of them, so doubling S may at
+    # most multiply them by 4.  Each point's level-n row is tested once per
+    # audit, and composition reads the rows' bits.
     small, large = _counted_audit(10), _counted_audit(20)
-    assert (small, large) == (3880, 17490)
-    assert large <= 8 * small
+    assert (small, large) == (1650, 6500)
+    assert large <= 4 * small
+
+
+class Level:
+    """An int level that is not an ``int``, only ``__index__``."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+
+def test_an_index_level_is_read_as_a_plain_int():
+    rel, sample = chain_relation(), [finite(k) for k in range(6)]
+    report = rel.verify_generating_axioms(sample, Level(2))
+    assert report.params["n_max"] == 2 and type(report.params["n_max"]) is int
+    assert report.to_json() == rel.verify_generating_axioms(sample, 2).to_json()
+    slow = GeneratingSequence(lambda n: finite(n + 1))
+    assert slow.doubling_violations(Level(4)) == [1, 2, 3]
+
+
+@pytest.mark.parametrize("n_max", [True, False, 2.0, "2", None])
+def test_a_bool_or_non_int_is_no_level(n_max):
+    with pytest.raises(TypeError):
+        chain_relation().verify_generating_axioms([finite(0)], n_max)
+    with pytest.raises(TypeError):
+        GeneratingSequence.powers_of_two().doubling_violations(n_max)
+
+
+@pytest.mark.parametrize("n_max", [-1, -3, Level(-1)])
+def test_a_negative_level_is_refused_not_passed(n_max):
+    # An audit of no level would report a vacuous pass.
+    with pytest.raises(ValueError, match="ladder levels are nonnegative"):
+        chain_relation().verify_generating_axioms([finite(0), finite(1)], n_max)
+    with pytest.raises(ValueError, match="ladder levels are nonnegative"):
+        GeneratingSequence(lambda n: finite(n + 1)).doubling_violations(n_max)
+
+
+def test_level_zero_is_an_audit_and_an_empty_ladder_check():
+    report = chain_relation().verify_generating_axioms([finite(0), finite(1)], 0)
+    assert report.passed and report.params["n_max"] == 0
+    assert GeneratingSequence(lambda n: finite(n + 1)).doubling_violations(0) == []
 
 
 def test_chain_walk_never_exits_at_finite_steps():
@@ -363,38 +406,57 @@ def test_audit_matches_a_triple_loop_over_in_level(sample, ladder, distance, n_m
     ).to_json()
 
 
-def looped_level_tests(rel, points, n_max):
-    """The ``(n, x, y)`` of every ``in_level`` call of the audit's loops when
-    each x tests y's level-n row again.  A test of a row comes as
-    ``((n, j, i), test)``, j the sample position of y and i that of the x
-    it tests the row for; every other test as ``(None, test)``."""
+def reflexivity_and_symmetry_tests(points, n_max):
+    """The ``(n, x, y)`` of the parent loops' reflexivity and symmetry
+    tests, in their order."""
+    tests = []
+    for n in range(n_max + 1):
+        tests += [(n, x, x) for x in points]
+        for x in points:
+            for y in points:
+                tests += [(n, x, y), (n, y, x)]
+    return tests
+
+
+def row_level_tests(rel, points, n_max):
+    """The ``in_level`` calls of the audit's loops when each point's level-n
+    row is built once per audit, as ``(level, row, (n, x, y))``: ``level``
+    the loop's level, ``row`` the ``(n, i)`` of x_i's level-n row a test
+    builds, or None for a reflexivity or symmetry test."""
+    built = set()
+
+    def row(level, n, i):
+        if (n, i) not in built:
+            built.add((n, i))
+            for z in points:
+                yield level, (n, i), (n, points[i], z)
+
     for n in range(n_max + 1):
         for x in points:
-            yield None, (n, x, x)
+            yield n, None, (n, x, x)
         for i, x in enumerate(points):
             for j, y in enumerate(points):
-                yield None, (n, x, y)
-                yield None, (n, y, x)
-                if not rel.in_level(n, x, y):
-                    continue
-                for z in points:
-                    yield (n, j, i), (n, y, z)
-                    if rel.in_level(n, y, z):
-                        yield None, (n + 1, x, z)
+                yield n, None, (n, x, y)
+                yield n, None, (n, y, x)
+                if rel.in_level(n, x, y):
+                    yield from row(n, n, j)
+                    yield from row(n, n + 1, i)
 
 
 @pytest.mark.parametrize(
-    "sample,ladder,distance,n_max",
+    "sample,ladder,distance,n_max,lazy_levels",
     [
-        ([finite(0), finite(2), finite(4), finite(4), huge(1, 0)], "n+1", "skewed", 3),
-        ([finite(0), finite(5), huge(1, 1), huge(2, 0)], "huge at 3", "same tier", 4),
-        ([finite(k) for k in range(10)], "2^n", "gap", 4),
+        ([finite(0), finite(2), finite(4), finite(4), huge(1, 0)], "n+1", "skewed", 3, {1}),
+        ([finite(0), finite(5), huge(1, 1), huge(2, 0)], "huge at 3", "same tier", 4, {0}),
+        ([finite(k) for k in range(10)], "2^n", "gap", 4, {0}),
     ],
     ids=["skewed", "same-tier", "counted-chain"],
 )
-def test_the_audit_tests_each_row_once_per_level(monkeypatch, sample, ladder, distance, n_max):
+def test_the_audit_tests_each_row_once_per_level(
+    monkeypatch, sample, ladder, distance, n_max, lazy_levels
+):
     rel = SoritesRelation(DISTANCES[distance], GeneratingSequence(LADDERS[ladder]))
-    looped = list(looped_level_tests(rel, sample, n_max))
+    looped = list(row_level_tests(rel, sample, n_max))
     calls = []
     in_level = SoritesRelation.in_level
 
@@ -404,13 +466,23 @@ def test_the_audit_tests_each_row_once_per_level(monkeypatch, sample, ladder, di
 
     monkeypatch.setattr(SoritesRelation, "in_level", recorded)
     rel.verify_generating_axioms(sample, n_max)
-    # No level test the loops did not make, and none of theirs left out ...
-    assert set(calls) == {test for _, test in looped}
-    # ... and each row tested once per level, for the first x that needs it;
-    # every other test as often as the loops make it.
-    first_x: dict = {}
-    for row, _ in looped:
-        if row is not None:
-            first_x.setdefault(row[:2], row[2])
-    once = [test for row, test in looped if row is None or first_x[row[:2]] == row[2]]
-    assert Counter(calls) == Counter(once)
+    assert calls == [test for _, _, test in looped]
+    # The reflexivity and symmetry tests are the parent's, in its order, and
+    # each is a test of the loop's own level: no level-(n+1) test is made
+    # outside a row.
+    parents = reflexivity_and_symmetry_tests(sample, n_max)
+    assert [test for _, row, test in looped if row is None] == parents
+    assert all(test[0] == level for level, row, test in looped if row is None)
+    # Every other test belongs to an (n, x) row: S tests in sample order,
+    # made at most once per audit.
+    rows = [
+        (row, [test for _, _, test in tests])
+        for row, tests in groupby(looped, key=lambda entry: entry[1])
+        if row is not None
+    ]
+    assert all(tests == [(n, sample[i], z) for z in sample] for (n, i), tests in rows)
+    assert len({row for row, _ in rows}) == len(rows)
+    # A row is built lazily, within its own level, when its point had no
+    # neighbour at the level below (or at level 0); these cases reach it.
+    lazy = {row[0] for level, row, _ in looped if row is not None and row[0] == level}
+    assert lazy == lazy_levels
