@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Tuple, Union
 
 from .epistemic import AumannModel, Event, ck_classical, ck_subjective
-from .hypernat import HyperNat, _coerce, _text, finite, gap
+from .hypernat import HyperNat, _coerce, _int_at_least, _text, finite, gap
 from .reports import CheckReport
 
 __all__ = [
@@ -172,10 +172,10 @@ def truncated_model(T: int) -> AumannModel:
 
     Agent 2's cell at ``(b,T,T)`` is clipped to a singleton: its other
     member would have ``t = T+1``.  Clipping keeps the chain connected, so
-    distances between retained states are unchanged.
+    distances between retained states are unchanged.  ``T`` is an int
+    (``operator.index``), not a bool.
     """
-    if T < 1:
-        raise ValueError("truncation bound must be >= 1")
+    T = _int_at_least(T, 1, "truncation bound must be >= 1")
     # The states in chain order, each built once and shared by both partitions
     # (so cell and set lookups hit on identity), which go in as ids, unchecked.
     states = [STATE_A, *(state_b(t, delta) for t in range(1, T + 1) for delta in (1, 0))]
@@ -189,6 +189,7 @@ def truncated_model(T: int) -> AumannModel:
 def check_classical_impossibility(T: int) -> CheckReport:
     """On the ``T``-truncation, B is nowhere classical common knowledge and
     every state reaches the whole clipped carrier."""
+    T = _int_at_least(T, 1, "truncation bound must be >= 1")
     model = truncated_model(T)
     b_event = frozenset(s for s in model.states if s.tag == "b")
     carrier = frozenset(model.states)
@@ -401,9 +402,8 @@ def best_response_check(
                 for s in cellstates:
                     if s not in probs:
                         probs[s] = state_probability(s, params)
-                weights = [probs[s] for s in cellstates]
-                base = weights[cellstates.index(min(cellstates, key=chain_position))]
-                weights = [w / base for w in weights]
+                base = probs[min(cellstates, key=chain_position)]
+                weights = [probs[s] / base for s in cellstates]
                 total = sum(weights)
                 value = sum(w * pres for w, (pres, _) in zip(weights, rows)) / total
                 dev_value = sum(w * dev for w, (_, dev) in zip(weights, rows)) / total

@@ -13,6 +13,7 @@ library ever needs the product of two huge values.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import FrozenInstanceError
 from functools import total_ordering
@@ -38,6 +39,17 @@ def _coerce(value: Union["HyperNat", int]) -> Optional["HyperNat"]:
         # Negative ints go through finite() for its error.
         return _make(0, value) if value >= 0 else finite(value)
     return None
+
+
+def _int_at_least(value: int, least: int, message: str) -> int:
+    """``value`` as a plain int (``operator.index``), not a bool, as in
+    ``_coerce``; below ``least`` it is ``ValueError(message)``."""
+    if isinstance(value, bool):
+        raise TypeError("a bool is not an int bound")
+    value = operator.index(value)
+    if value < least:
+        raise ValueError(message)
+    return value
 
 
 @total_ordering

@@ -16,26 +16,15 @@ concrete sample.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Optional
 
-from .hypernat import HyperNat, _coerce, finite, gap
+from .hypernat import HyperNat, _coerce, _int_at_least, finite, gap
 from .reports import CheckReport
 
 __all__ = ["GeneratingSequence", "SoritesRelation", "chain_relation"]
 
 Distance = Callable[[Any, Any], Optional[HyperNat]]
-
-
-def _level(n_max: int) -> int:
-    """``n_max`` as a plain int level; a bool is not a count, as in ``_coerce``."""
-    if isinstance(n_max, bool):
-        raise TypeError("n_max is an int level, not a bool")
-    n = operator.index(n_max)
-    if n < 0:
-        raise ValueError("ladder levels are nonnegative")
-    return n
 
 
 @dataclass(frozen=True)
@@ -70,7 +59,7 @@ class GeneratingSequence:
         """Levels ``n < n_max`` at which the ladder is unsound; ``n_max`` is
         a nonnegative int (``operator.index``), not a bool."""
         bad = []
-        for n in range(_level(n_max)):
+        for n in range(_int_at_least(n_max, 0, "ladder levels are nonnegative")):
             lo, hi = self.bound(n), self.bound(n + 1)
             if not (lo.is_finite and hi.is_finite) or not lo < hi or lo * 2 > hi:
                 bad.append(n)
@@ -115,28 +104,29 @@ class SoritesRelation:
         Composition demands that two level-``n`` steps land within level
         ``n+1``; every violated tuple is listed in the report.  ``n_max`` is
         a nonnegative int (``operator.index``), not a bool.
+
+        Each point's level-``n`` row is built once, before level ``n``'s
+        pair loop, and composition reads the rows' bits; with reflexivity
+        and symmetry, an audit of S points makes
+        ``(n_max+2)·S² + (n_max+1)·(S+2·S²)`` level tests.
         """
-        n_max = _level(n_max)
+        n_max = _int_at_least(n_max, 0, "ladder levels are nonnegative")
         points = list(sample)
         reflexivity: list = []
         symmetry: list = []
         composition: list = []
         in_level = self.in_level
 
-        def row(n: int, x: Any) -> int:
-            """x's level-n row: bit k is set when ``in_level(n, x, z_k)``."""
-            return sum(1 << k for k, z in enumerate(points) if in_level(n, x, z))
+        def rows(n: int) -> list:
+            """Each point's level-n row: bit k of x's row is set when ``in_level(n, x, z_k)``."""
+            return [sum(1 << k for k, z in enumerate(points) if in_level(n, x, z)) for x in points]
 
-        # rows[j] is y_j's level-n row, or None until an x first relates to
-        # y_j; level n-1 hands over the rows it built as its level-(n+1) rows.
-        rows: list = [None] * len(points)
+        below = rows(0)
         for n in range(n_max + 1):
+            above = rows(n + 1)
             for x in points:
                 if not in_level(n, x, x):
                     reflexivity.append({"n": n, "x": str(x)})
-            # above[i] is x_i's level-(n+1) row, built when x_i first relates
-            # to some y.
-            above: list = [None] * len(points)
             for i, x in enumerate(points):
                 for j, y in enumerate(points):
                     xy = in_level(n, x, y)
@@ -144,19 +134,15 @@ class SoritesRelation:
                         symmetry.append({"n": n, "x": str(x), "y": str(y)})
                     if not xy:
                         continue
-                    if rows[j] is None:
-                        rows[j] = row(n, y)
-                    if above[i] is None:
-                        above[i] = row(n + 1, x)
                     # The z within level n of y but not within level n+1 of
                     # x, in sample order.
-                    escaped = rows[j] & ~above[i]
+                    escaped = below[j] & ~above[i]
                     while escaped:
                         low = escaped & -escaped
                         z = points[low.bit_length() - 1]
                         composition.append({"n": n, "x": str(x), "y": str(y), "z": str(z)})
                         escaped ^= low
-            rows = above
+            below = above
         report = CheckReport("generating-axioms", {"n_max": n_max, "sample_size": len(points)})
         for clause, bad in (
             ("reflexivity", reflexivity),

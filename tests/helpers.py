@@ -1,7 +1,7 @@
 """The in-process CLI harness, the child-process environment, random model
 generators, the e-mail game's truncation written out literally, a reference
-search over raw partition lists and event enumeration shared by the test
-suite."""
+search over raw partition lists, event enumeration and an int that is only
+``__index__``, shared by the test suite."""
 
 import contextlib
 import io
@@ -141,3 +141,13 @@ def all_events(states):
     states = list(states)
     for mask in range(1 << len(states)):
         yield frozenset(s for i, s in enumerate(states) if mask >> i & 1)
+
+
+class Level:
+    """An int that is not an ``int``, only ``__index__``."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value

@@ -34,7 +34,7 @@ from galaxyck.emailgame import (
 from galaxyck.epistemic import AumannModel, Event, ck_classical, ck_region, ck_subjective
 from galaxyck.hypernat import finite, huge
 from galaxyck.reports import CheckReport
-from helpers import subprocess_env, truncation_partitions
+from helpers import Level, subprocess_env, truncation_partitions
 
 PARAMS = PayoffParams(2, 3, Fraction(1, 2), Fraction(1, 10))
 
@@ -167,6 +167,23 @@ def test_truncated_model_matches_display():
     assert got_p2 == expected_p2
     with pytest.raises(ValueError):
         truncated_model(0)
+
+
+@pytest.mark.parametrize("T", [True, False])
+def test_a_bool_is_no_truncation_bound(T):
+    with pytest.raises(TypeError):
+        truncated_model(T)
+    with pytest.raises(TypeError):
+        check_classical_impossibility(T)
+
+
+def test_an_index_truncation_bound_is_read_as_a_plain_int():
+    report = check_classical_impossibility(Level(3))
+    assert report.params == {"T": 3} and type(report.params["T"]) is int
+    assert report.to_json() == check_classical_impossibility(3).to_json()
+    assert truncated_model(Level(3)).states == truncated_model(3).states
+    with pytest.raises(ValueError, match="truncation bound must be >= 1"):
+        check_classical_impossibility(Level(0))
 
 
 @pytest.mark.parametrize("T", [1, 2, 7, 40])

@@ -1,6 +1,3 @@
-import dataclasses
-from itertools import groupby
-
 import hypothesis.strategies as st
 import pytest
 from hypothesis import example, given, settings
@@ -8,6 +5,7 @@ from hypothesis import example, given, settings
 from galaxyck.hypernat import finite, gap, huge
 from galaxyck.reports import CheckReport
 from galaxyck.sorites import GeneratingSequence, SoritesRelation, chain_relation
+from helpers import Level
 
 finites = st.integers(0, 10_000).map(finite)
 huges = st.tuples(st.integers(1, 3), st.integers(-1_000, 1_000)).map(lambda ck: huge(*ck))
@@ -163,36 +161,29 @@ def test_an_audit_computes_each_threshold_once(monkeypatch):
     assert sorted(calls) == [1, 2, 3, 4, 5]
 
 
-def _counted_audit(S):
-    """Distance calls of the ``2**n`` chain audit of ``finite(0..S-1)`` at ``n_max=4``."""
+def _counted_audit(S, dist=gap):
+    """Distance calls of the ``2**n`` audit of ``finite(0..S-1)`` at ``n_max=4``."""
     calls = []
-    rel = chain_relation()
 
-    def dist(x, y):
+    def counted(x, y):
         calls.append(None)
-        return rel.dist(x, y)
+        return dist(x, y)
 
-    dataclasses.replace(rel, dist=dist).verify_generating_axioms([finite(k) for k in range(S)], 4)
+    SoritesRelation(counted).verify_generating_axioms([finite(k) for k in range(S)], 4)
     return len(calls)
 
 
 def test_the_audit_work_is_pinned_as_a_count():
-    # One distance per level test: O(n*S**2) of them, so doubling S may at
-    # most multiply them by 4.  Each point's level-n row is tested once per
-    # audit, and composition reads the rows' bits.
+    # One distance per level test: (n_max+2)*S**2 for the rows, built up
+    # front, and (n_max+1)*(S+2*S**2) for reflexivity and symmetry, whatever
+    # the distance.  So doubling S may at most multiply them by 4;
+    # composition reads the rows' bits.
     small, large = _counted_audit(10), _counted_audit(20)
     assert (small, large) == (1650, 6500)
     assert large <= 4 * small
-
-
-class Level:
-    """An int level that is not an ``int``, only ``__index__``."""
-
-    def __init__(self, value):
-        self.value = value
-
-    def __index__(self):
-        return self.value
+    # A never-zero distance leaves points out of their own rows; the rows
+    # are built all the same.
+    assert _counted_audit(10, _skewed) == 1650
 
 
 def test_an_index_level_is_read_as_a_plain_int():
@@ -406,11 +397,17 @@ def test_audit_matches_a_triple_loop_over_in_level(sample, ladder, distance, n_m
     ).to_json()
 
 
-def reflexivity_and_symmetry_tests(points, n_max):
-    """The ``(n, x, y)`` of the parent loops' reflexivity and symmetry
-    tests, in their order."""
-    tests = []
+def audit_level_tests(points, n_max):
+    """The ``(n, x, y)`` of the audit's ``in_level`` calls, in order: each
+    point's level-0 row, then per level each point's level-(n+1) row, the
+    reflexivity tests and both symmetry tests of every pair."""
+
+    def rows(n):
+        return [(n, x, z) for x in points for z in points]
+
+    tests = rows(0)
     for n in range(n_max + 1):
+        tests += rows(n + 1)
         tests += [(n, x, x) for x in points]
         for x in points:
             for y in points:
@@ -418,45 +415,17 @@ def reflexivity_and_symmetry_tests(points, n_max):
     return tests
 
 
-def row_level_tests(rel, points, n_max):
-    """The ``in_level`` calls of the audit's loops when each point's level-n
-    row is built once per audit, as ``(level, row, (n, x, y))``: ``level``
-    the loop's level, ``row`` the ``(n, i)`` of x_i's level-n row a test
-    builds, or None for a reflexivity or symmetry test."""
-    built = set()
-
-    def row(level, n, i):
-        if (n, i) not in built:
-            built.add((n, i))
-            for z in points:
-                yield level, (n, i), (n, points[i], z)
-
-    for n in range(n_max + 1):
-        for x in points:
-            yield n, None, (n, x, x)
-        for i, x in enumerate(points):
-            for j, y in enumerate(points):
-                yield n, None, (n, x, y)
-                yield n, None, (n, y, x)
-                if rel.in_level(n, x, y):
-                    yield from row(n, n, j)
-                    yield from row(n, n + 1, i)
-
-
 @pytest.mark.parametrize(
-    "sample,ladder,distance,n_max,lazy_levels",
+    "sample,ladder,distance,n_max",
     [
-        ([finite(0), finite(2), finite(4), finite(4), huge(1, 0)], "n+1", "skewed", 3, {1}),
-        ([finite(0), finite(5), huge(1, 1), huge(2, 0)], "huge at 3", "same tier", 4, {0}),
-        ([finite(k) for k in range(10)], "2^n", "gap", 4, {0}),
+        ([finite(0), finite(2), finite(4), finite(4), huge(1, 0)], "n+1", "skewed", 3),
+        ([finite(0), finite(5), huge(1, 1), huge(2, 0)], "huge at 3", "same tier", 4),
+        ([finite(k) for k in range(10)], "2^n", "gap", 4),
     ],
     ids=["skewed", "same-tier", "counted-chain"],
 )
-def test_the_audit_tests_each_row_once_per_level(
-    monkeypatch, sample, ladder, distance, n_max, lazy_levels
-):
+def test_the_audit_tests_each_row_once_per_level(monkeypatch, sample, ladder, distance, n_max):
     rel = SoritesRelation(DISTANCES[distance], GeneratingSequence(LADDERS[ladder]))
-    looped = list(row_level_tests(rel, sample, n_max))
     calls = []
     in_level = SoritesRelation.in_level
 
@@ -466,23 +435,4 @@ def test_the_audit_tests_each_row_once_per_level(
 
     monkeypatch.setattr(SoritesRelation, "in_level", recorded)
     rel.verify_generating_axioms(sample, n_max)
-    assert calls == [test for _, _, test in looped]
-    # The reflexivity and symmetry tests are the parent's, in its order, and
-    # each is a test of the loop's own level: no level-(n+1) test is made
-    # outside a row.
-    parents = reflexivity_and_symmetry_tests(sample, n_max)
-    assert [test for _, row, test in looped if row is None] == parents
-    assert all(test[0] == level for level, row, test in looped if row is None)
-    # Every other test belongs to an (n, x) row: S tests in sample order,
-    # made at most once per audit.
-    rows = [
-        (row, [test for _, _, test in tests])
-        for row, tests in groupby(looped, key=lambda entry: entry[1])
-        if row is not None
-    ]
-    assert all(tests == [(n, sample[i], z) for z in sample] for (n, i), tests in rows)
-    assert len({row for row, _ in rows}) == len(rows)
-    # A row is built lazily, within its own level, when its point had no
-    # neighbour at the level below (or at level 0); these cases reach it.
-    lazy = {row[0] for level, row, _ in looped if row is not None and row[0] == level}
-    assert lazy == lazy_levels
+    assert calls == audit_level_tests(sample, n_max)
