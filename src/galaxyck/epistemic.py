@@ -221,22 +221,19 @@ class AumannModel:
         """The meet's blocks, sorted by their first state, and a map from
         each state to its block.
 
-        Built on first use by one union-find over the cells' member ids and
-        cached, so every later meet or common-knowledge query reads it.  The
-        first agent's cells are disjoint, so they seed it: each member's
-        parent is its cell's first id, and only the other agents are unioned.
+        Built on first use by one union-find over every agent's cells, on
+        their member ids, and cached, so every later meet or
+        common-knowledge query reads it.
         """
         if self._index is None:
-            parts = iter(self._parts.values())
-            members, of = next(parts)
-            parent = list(map([cell[0] for cell in members].__getitem__, of))
+            parent = list(range(len(self._states)))
 
             def find(i):
                 while parent[i] != i:
                     parent[i] = i = parent[parent[i]]  # path halving
                 return i
 
-            for members, _ in parts:
+            for members, _ in self._parts.values():
                 for cell in members:
                     root = find(cell[0])
                     for i in cell:
@@ -458,10 +455,7 @@ def meet_equals_galaxies(model: Any) -> CheckReport:
     equal = blocks == comps
 
     def _render(side):
-        return sorted(
-            (sorted(map(str, block)) for block in side),
-            key=lambda block: block[0],
-        )
+        return sorted(sorted(map(str, block)) for block in side)
 
     report.add(
         {"comparison": "meet blocks vs reachability components"},
@@ -532,7 +526,7 @@ def model_from_dict(payload: Any) -> tuple:
         members = tuple([tuple(map(get, cell)) for cell in cells]) if typed else ()
         ids = set(chain.from_iterable(members))
         if not (len(ids) == len(id_of) == sum(map(len, cells)) and None not in ids and all(cells)):
-            seen: set = set()
+            seen: dict = {}  # each state's cell number
             for j, cell in enumerate(cells):
                 where = f"{base}.partition[{j}]"
                 if not isinstance(cell, list) or not cell:
@@ -541,8 +535,9 @@ def model_from_dict(payload: Any) -> tuple:
                     if not (isinstance(s, str) and s in id_of):
                         raise ModelFormatError(where, f"unknown state {s!r}")
                     if s in seen:
-                        raise ModelFormatError(where, f"state {s!r} appears in two cells")
-                    seen.add(s)
+                        place = "twice in one cell" if seen[s] == j else "in two cells"
+                        raise ModelFormatError(where, f"state {s!r} appears {place}")
+                    seen[s] = j
             missing = sorted(id_of.keys() - seen)
             if missing:
                 raise ModelFormatError(f"{base}.partition", f"states not covered: {missing}")

@@ -36,8 +36,7 @@ def _coerce(value: Union["HyperNat", int]) -> Optional["HyperNat"]:
     if isinstance(value, HyperNat):
         return value
     if isinstance(value, int) and not isinstance(value, bool):
-        # Negative ints go through finite() for its error.
-        return _make(0, value) if value >= 0 else finite(value)
+        return finite(value)
     return None
 
 
@@ -69,6 +68,7 @@ class HyperNat:
         ints = isinstance(omega_coeff, int) and isinstance(offset, int)
         if not ints or bool in (type(omega_coeff), type(offset)):
             raise TypeError("HyperNat components must be plain ints")
+        omega_coeff, offset = int(omega_coeff), int(offset)  # an int subclass counts as its value
         if omega_coeff < 0:
             raise ValueError("anchor coefficient must be nonnegative")
         if omega_coeff == 0 and offset < 0:

@@ -18,8 +18,6 @@ _encode_str = json.encoder.encode_basestring_ascii
 # call.  For a string it is _encode_str, by which _write sorts one-type sets.
 _canonical_json = json.JSONEncoder(sort_keys=True).encode
 
-_int_text = int.__repr__
-
 # Types with a branch of their own in jsonable; any other value renders by str.
 _NOT_BY_STR = (type(None), str, int, float, dict, set, frozenset, list, tuple, Fraction)
 
@@ -68,13 +66,10 @@ def _write(value: Any, newline: str) -> str:
     if type(value) is str:
         return _encode_str(value)
     if type(value) is int:  # not bool, whose repr is not its JSON text
-        return _int_text(value)
+        return repr(value)
     if isinstance(value, (list, tuple)) and value:
         inner = newline + "  "
-        if set(map(type, value)) == {str}:  # a block of the meet: no call per state
-            items = map(_encode_str, value)
-        else:
-            items = [_write(item, inner) for item in value]
+        items = [_write(item, inner) for item in value]
         return f"[{inner}{(',' + inner).join(items)}{newline}]"
     if isinstance(value, dict) and value:
         inner = newline + "  "

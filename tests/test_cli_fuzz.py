@@ -85,10 +85,10 @@ def model_path(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz") / "model.json"
 
 
-def check_document(path, doc, event, state, mode):
+def check_document(path, doc, event, state, mode, fmt="json"):
     path.write_text(json.dumps(doc), encoding="utf-8")
     argv = ["model", "check", f"--file={path}", f"--event={event}", f"--state={state}"]
-    return run_main(argv + [f"--mode={mode}"])
+    return run_main(argv + [f"--mode={mode}", f"--format={fmt}"])
 
 
 modes = st.sampled_from(["classical", "subjective"])
@@ -123,6 +123,29 @@ def test_model_check_on_valid_documents(model_path, doc, data, mode):
                     component |= set(cell)
     assert code == (0 if component <= set(doc["events"][event]) else 1)
     assert component in [set(block) for block in json.loads(out)["meet"]]
+
+
+@settings(FUZZ, max_examples=30)
+@given(
+    doc=valid_documents(),
+    data=st.data(),
+    mode=modes,
+    fmt=st.sampled_from(["json", "text"]),
+)
+def test_model_check_report_ignores_the_order_of_agents_cells_and_members(
+    model_path, doc, data, mode, fmt
+):
+    event = data.draw(st.sampled_from(sorted(doc["events"])))
+    state = data.draw(st.sampled_from(doc["states"]))
+    shuffled = dict(doc, agents=[
+        dict(spec, partition=[
+            data.draw(st.permutations(cell))
+            for cell in data.draw(st.permutations(spec["partition"]))
+        ])
+        for spec in data.draw(st.permutations(doc["agents"]))
+    ])
+    report = check_document(model_path, doc, event, state, mode, fmt)
+    assert check_document(model_path, shuffled, event, state, mode, fmt) == report
 
 
 count_text = (

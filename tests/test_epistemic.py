@@ -1,4 +1,5 @@
 import copy
+import itertools
 import random
 
 import hypothesis.strategies as st
@@ -1080,6 +1081,8 @@ def test_model_from_dict_builds_the_model_the_constructor_builds(doc):
         # As many members as states, one of them twice: too few distinct ids.
         ([["w1", "w2"], ["w1"]], "agents[0].partition[1]", "state 'w1' appears in two cells"),
         ([["w1", "w2", "w3"], []], "agents[0].partition[1]", "cells are nonempty lists of states"),
+        # As many members as states, one repeated inside its own cell.
+        ([["w1", "w1"], ["w2"]], "agents[0].partition[0]", "state 'w1' appears twice in one cell"),
     ],
 )
 def test_model_from_dict_names_a_fault_that_the_member_count_hides(partition, field, message):
@@ -1132,3 +1135,47 @@ def test_validation_errors_name_their_cause(call, exc, message):
         call()
     assert str(err.value) == message
 
+
+def _set_partitions(states):
+    """Every partition of the list ``states`` into cells, each once."""
+    if not states:
+        yield []
+        return
+    first, rest = states[0], states[1:]
+    for cells in _set_partitions(rest):
+        yield [[first], *cells]
+        for k in range(len(cells)):
+            yield [*cells[:k], [first, *cells[k]], *cells[k + 1 :]]
+
+
+def _ck_by_definition(partitions, event):
+    """The states where ``event`` is common knowledge, by its definition on
+    the raw partition lists: "everybody knows" iterated from the event until
+    the set stops shrinking."""
+    region = frozenset(event)
+    while True:
+        known = frozenset(
+            s
+            for s in region
+            if all(helpers.raw_cell(partitions, agent, s) <= region for agent in partitions)
+        )
+        if known == region:
+            return region
+        region = known
+
+
+@pytest.mark.parametrize("agents,max_states", [(2, 4), (3, 3)])
+def test_common_knowledge_matches_its_definition_on_every_small_model(agents, max_states):
+    """Every model of ``agents`` agents on 1 to ``max_states`` states, every
+    event and every state: no union-find, index or walk in the oracle."""
+    for n in range(1, max_states + 1):
+        states = [f"s{i}" for i in range(n)]
+        for cells in itertools.product(list(_set_partitions(states)), repeat=agents):
+            partitions = dict(enumerate(cells))
+            model = AumannModel(list(partitions), partitions)
+            for event in helpers.all_events(states):
+                region = _ck_by_definition(partitions, event)
+                for omega in states:
+                    expected = omega in region
+                    assert ck_classical(model, event, omega) is expected, (partitions, event, omega)
+                    assert ck_subjective(model, event, omega) is expected, (partitions, event, omega)

@@ -1,4 +1,5 @@
 import copy
+import enum
 import operator
 import pickle
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given
 
 from galaxyck import hypernat
-from galaxyck.emailgame import CutoffStrategy, _as_count
+from galaxyck.emailgame import CutoffStrategy, _as_count, state_b
 from galaxyck.hypernat import HyperNat, finite, gap, huge, parse_hypernat
 from galaxyck.sorites import GeneratingSequence
 
@@ -379,3 +380,15 @@ def test_every_count_reader_agrees_with_the_count_rule(value):
     else:
         expected = TypeError
     assert [_read_count(reader, value) for reader in COUNT_READERS] == [expected] * 4
+
+
+class _Level(enum.IntEnum):
+    TWO = 2
+
+
+def test_an_int_subclass_counts_as_its_int_value():
+    """Python 3.10 writes an IntEnum by its member name, so a count that kept
+    the subclass would write ``_Level.TWO`` into a label or a report."""
+    assert type(finite(_Level.TWO).offset) is int
+    assert type(HyperNat(_Level.TWO, _Level.TWO).omega_coeff) is int
+    assert str(state_b(_Level.TWO)) == "(b,2,2)"

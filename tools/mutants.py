@@ -45,8 +45,6 @@ TIMEOUT_S = 900  # a mutant that hangs the suite this long counts as killed
 
 # Mutant id -> why no input can tell the mutant from the original.
 EQUIVALENT = {
-    "hypernat._coerce: value >= 0 -> value > 0": "0 goes through finite(0), which is HyperNat(0, 0) too",
-    "hypernat._coerce: value >= 0 -> value >= 1": "0 goes through finite(0), which is HyperNat(0, 0) too",
     "hypernat.gap: off < 0 -> off <= 0": "at coeff == 0 and off == 0 the swap negates 0 into 0",
     "hypernat.gap: off < 0 -> off < 1": "at coeff == 0 and off == 0 the swap negates 0 into 0",
     "emailgame.best_response_check: dev <= pres -> dev < pres":
