@@ -29,10 +29,10 @@ read that index; they are its oracles.
 Infinite carriers can stand in for an ``AumannModel`` wherever closed forms
 exist: such a model must expose ``agents``, ``cell(agent, state)`` and
 ``metric(x, y)`` and advertise ``states = None``; ``link_iter`` walks
-them a frontier at a time through ``cell``.  Only there does the
-subjective test search a complement, so its events must list theirs
-explicitly (:attr:`Event.complement_witnesses`); on a finite carrier
-witnesses are validated and never searched.
+them a frontier at a time, each step the ``link_group`` of the frontier.
+Only there does the subjective test search a complement, so its events
+must list theirs explicitly (:attr:`Event.complement_witnesses`); on a
+finite carrier witnesses are validated and never searched.
 """
 
 from __future__ import annotations
@@ -57,7 +57,6 @@ __all__ = [
     "ck_classical",
     "ck_region",
     "ck_subjective",
-    "is_reachable",
     "knows",
     "knows_group",
     "link_agent",
@@ -320,8 +319,9 @@ def link_iter(model: Any, event: Any, n: Any) -> frozenset:
     stops early once nothing new is reached, so its cost is linear in the
     states it reaches whatever ``n`` is.  On a finite carrier it is the id
     walk, and only the states it adds to the event are mapped back; on an
-    infinite one each step reads the cells of the states the step before
-    reached first.  :func:`link_group` applied ``n`` times is its reference.
+    infinite one each step is the :func:`link_group` of the states the step
+    before reached first, less those reached already.  :func:`link_group`
+    applied ``n`` times is its reference.
     """
     count = _coerce(n)  # a negative int raises here
     if count is None:
@@ -335,26 +335,13 @@ def link_iter(model: Any, event: Any, n: Any) -> frozenset:
     if _finite_carrier(model):
         order = model._walk(model._ids(members), n)[0]
         return members.union(map(model.states.__getitem__, order[len(members) :]))
-    reached = set(members)
-    frontier = list(reached)
-    agents = model.agents
+    reached, frontier = set(members), members
     for _ in range(n):
         if not frontier:
             break
-        next_frontier = []
-        for s in frontier:
-            for agent in agents:
-                for t in model.cell(agent, s):
-                    if t not in reached:
-                        reached.add(t)
-                        next_frontier.append(t)
-        frontier = next_frontier
+        frontier = link_group(model, frontier) - reached
+        reached |= frontier
     return frozenset(reached)
-
-
-def is_reachable(model: Any, x: State, y: State) -> bool:
-    """Some finite chain of cells joins ``x`` to ``y``."""
-    return reachability_relation(model).related(x, y)
 
 
 def knows(model: Any, agent: Agent, event: Any) -> frozenset:
@@ -393,7 +380,8 @@ def ck_classical(model: Any, event: Any, omega: State) -> bool:
 
 
 def reachability_relation(model: Any) -> SoritesRelation:
-    """The sorites relation whose distance is the model's link metric."""
+    """The sorites relation whose distance is the model's link metric: its
+    ``related(x, y)`` holds when some finite chain of cells joins x to y."""
     return SoritesRelation(dist=model.metric)
 
 

@@ -90,13 +90,10 @@ class SoritesRelation:
         return d < (t if t is not None else self.gen.bound(n))
 
     def related(self, x: Any, y: Any) -> bool:
-        """True when the distance is finite, i.e. some finite level applies."""
+        """Galaxy membership: ``y`` lies in the galaxy around ``x`` when
+        their distance is finite, i.e. some finite level applies."""
         d = self.dist(x, y)
         return d is not None and d.is_finite
-
-    def in_galaxy(self, center: Any, x: Any) -> bool:
-        """Galaxy membership around ``center``; alias of :meth:`related`."""
-        return self.related(center, x)
 
     def verify_generating_axioms(self, sample: Iterable[Any], n_max: int) -> CheckReport:
         """Audit reflexivity, symmetry and step composition on a sample.

@@ -1,4 +1,5 @@
 import copy
+import json
 import pickle
 import subprocess
 import sys
@@ -31,10 +32,17 @@ from galaxyck.emailgame import (
     state_probability,
     truncated_model,
 )
-from galaxyck.epistemic import AumannModel, Event, ck_classical, ck_region, ck_subjective
+from galaxyck.epistemic import (
+    AumannModel,
+    Event,
+    ck_classical,
+    ck_region,
+    ck_subjective,
+    knows_group,
+)
 from galaxyck.hypernat import finite, huge
 from galaxyck.reports import CheckReport
-from helpers import Level, subprocess_env, truncation_partitions
+from helpers import Level, run_cli, subprocess_env, truncation_partitions
 
 PARAMS = PayoffParams(2, 3, Fraction(1, 2), Fraction(1, 10))
 
@@ -326,6 +334,67 @@ def test_classical_impossibility_asks_about_the_b_event(monkeypatch):
     assert events == [b_states] * 7
 
 
+def everybody_knows_b(model):
+    """K^n(B) for n = 0, 1, ... until it is empty, K the group's "everybody
+    knows" and B the b-states: Aumann's route to common knowledge, one
+    finite depth at a time."""
+    depths = [frozenset(s for s in model.states if s.tag == "b")]
+    while depths[-1]:
+        depths.append(knows_group(model, depths[-1]))
+    return depths
+
+
+@pytest.mark.parametrize("T", [10, 30])
+def test_everybody_knows_b_exactly_below_the_link_distance_to_a(T):
+    # Where the n steps around a state stay clear of the clipped top cell
+    # (chain position + n < 2T), the truncation answers as the infinite
+    # chain does: B is known to depth n iff (a,0,0) is more than n away.
+    model = truncated_model(T)
+    distance = model.distances_from(STATE_A)
+    depths = everybody_knows_b(model)
+    assert len(depths) == 2 * T + 1  # (b,T,T), 2T away, drops out last
+    for n in range(1, 2 * T + 2):
+        known = depths[n] if n < len(depths) else frozenset()
+        for s in model.states:
+            if int(chain_position(s)) + n < 2 * T:
+                assert (s in known) == (distance[s] > n), (n, str(s))
+
+
+def test_b_stops_being_known_at_the_depth_the_email_metric_gives():
+    # The finite half of the paper's claim; check_ast_possibility pins the
+    # huge half, where no finite depth fails.
+    depths = everybody_knows_b(truncated_model(20))
+    for t in range(1, 6):
+        first = next(n for n, known in enumerate(depths) if state_b(t) not in known)
+        assert finite(first) == email_metric(state_b(t), STATE_A) == finite(2 * t)
+
+
+def test_the_truncation_as_a_model_document_has_b_common_knowledge_nowhere(tmp_path):
+    # The e-mail-game relation: written out as a model document, the
+    # T-truncation gives at every state the verdict impossibility --T gives.
+    path = tmp_path / "truncation.json"
+    for T in range(1, 7):
+        model = truncated_model(T)
+        labels = [str(s) for s in model.states]
+        agents = [
+            {"name": f"agent{i}", "partition": [list(map(str, c)) for c in model.partition(i)]}
+            for i in model.agents
+        ]
+        b_labels = [str(s) for s in model.states if s.tag == "b"]
+        doc = {"states": labels, "agents": agents, "events": {"B": b_labels}}
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        impossibility = run_cli(["emailgame", "impossibility", "--T", str(T)])
+        assert impossibility.code == 0 and json.loads(impossibility.stdout)["pass"]
+        for label in labels:
+            for mode in ("classical", "subjective"):
+                argv = ["model", "check", f"--file={path}", "--event=B", f"--state={label}"]
+                run = run_cli(argv + [f"--mode={mode}"])
+                assert run.code == 1, (T, label, mode, run.stderr)
+                report = json.loads(run.stdout)
+                assert report["cases"][0]["actual"] == "not common knowledge"
+                assert report["meet"] == [sorted(labels)]
+
+
 def test_infinite_carrier_refuses_enumeration():
     game = EmailGameModel()
     with pytest.raises(ValueError):
@@ -412,6 +481,25 @@ def test_link_iter_reads_each_cell_once():
 
     assert link_iter(Carrier(), {STATE_A}, 10**4) == frozenset(model.states)
     assert len(reads) <= len(model.agents) * len(model.states)
+
+
+def test_link_iter_on_the_symbolic_carrier_is_the_closed_form_ball():
+    # A reference that shares no code with link_group: the states within n
+    # of the event by email_metric, among those whose first count lies
+    # within 8 of an event state's (a link step moves it by at most 1).
+    from galaxyck.epistemic import link_iter
+
+    game = EmailGameModel()
+    events = ({STATE_A}, {state_b(4, 1)}, {STATE_A, state_b(huge(1, 0))}, {state_b(huge(2, -3), 1)})
+    for event in events:
+        near = {STATE_A}
+        for e in event:
+            c, k = e.t.omega_coeff, e.t.offset
+            counts = [huge(c, k + j) if c else k + j for j in range(-8, 9) if c or k + j >= 1]
+            near |= {state_b(t, delta) for t in counts for delta in (0, 1)}
+        for n in range(7):
+            ball = {s for s in near if any(email_metric(s, e) <= n for e in event)}
+            assert link_iter(game, event, n) == ball, (event, n)
 
 
 def test_monotone_report():

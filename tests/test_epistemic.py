@@ -23,7 +23,6 @@ from galaxyck.epistemic import (
     ck_classical,
     ck_region,
     ck_subjective,
-    is_reachable,
     knows,
     knows_group,
     link_agent,
@@ -160,7 +159,7 @@ def test_metric_basics():
     assert model.metric(A, A) == finite(0)
     assert model.metric(A, ("b", 1, 1)) == finite(2)
     assert model.metric(("b", 1, 1), A) == finite(2)
-    assert is_reachable(model, A, ("b", 3, 3))
+    assert reachability_relation(model).related(A, ("b", 3, 3))
 
 
 def test_metric_unknown_state_rejected():
@@ -175,7 +174,7 @@ def test_disconnected_model():
         {"x": [["s0", "s1"], ["s2", "s3"]], "y": [["s0", "s1"], ["s2", "s3"]]},
     )
     assert model.metric("s0", "s2") is None
-    assert not is_reachable(model, "s0", "s3")
+    assert not reachability_relation(model).related("s0", "s3")
     assert len(model.components()) == 2
 
 
@@ -196,18 +195,20 @@ def test_one_agent_model():
             call()
 
 
-def test_is_reachable_is_the_galaxy_relation_on_both_carriers():
+def test_reachability_relation_is_the_galaxy_relation_on_both_carriers():
     game = EmailGameModel()
+    related = reachability_relation(game).related
     far = state_b(huge(1, 0))
-    assert not is_reachable(game, STATE_A, far)  # at distance 2*w+0, not finite
+    assert not related(STATE_A, far)  # at distance 2*w+0, not finite
     assert ck_subjective(game, event_b(), far)
-    assert is_reachable(game, STATE_A, state_b(5))
-    assert is_reachable(game, far, state_b(huge(1, 7)))
+    assert related(STATE_A, state_b(5))
+    assert related(far, state_b(huge(1, 7)))
     rng = random.Random(59)
     for model in [mail_chain_model()] + list(_several_component_models(rng, 5)):
+        related = reachability_relation(model).related
         for x in model.states:
             for y in model.states:
-                assert is_reachable(model, x, y) == (model.metric(x, y) is not None)
+                assert related(x, y) == (model.metric(x, y) is not None)
 
 
 def test_metric_axioms_random_models():

@@ -17,13 +17,17 @@ EXPORTED_BEFORE = """
     meet_equals_galaxies model_from_dict parse_hypernat payoff_pair
     reachability_relation state_b state_probability truncated_model
 """.split()
+# Of those, the names taken out since: each restated a route still exported.
+REMOVED = {"is_reachable"}
 
 
 def test_package_exports_are_the_union_of_the_layers():
     declared = [name for layer in LAYERS for name in layer.__all__]
     assert len(set(declared)) == len(declared)
     assert sorted(galaxyck.__all__) == sorted(declared)
-    assert len(EXPORTED_BEFORE) == 46 and set(EXPORTED_BEFORE) <= set(galaxyck.__all__)
+    assert len(EXPORTED_BEFORE) == 46 and REMOVED <= set(EXPORTED_BEFORE)
+    assert set(EXPORTED_BEFORE) - REMOVED <= set(galaxyck.__all__)
+    assert not any(hasattr(galaxyck, name) for name in REMOVED)
     for layer in LAYERS:
         for name in layer.__all__:
             assert getattr(galaxyck, name) is getattr(layer, name), name
