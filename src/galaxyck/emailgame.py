@@ -149,16 +149,15 @@ def cell(agent: int, s: EmailGameState) -> frozenset:
 
 
 class EmailGameModel:
-    """Symbolic partition model over the full (infinite) chain carrier."""
+    """Symbolic partition model over the full (infinite) chain carrier: the
+    ``agents``, closed-form ``cell`` and ``metric``, and ``states = None``
+    that ``epistemic`` reads of an infinite carrier, and nothing more."""
 
     agents = (1, 2)
     states = None  # infinite; closed forms stand in for enumeration
 
     cell = staticmethod(cell)
     metric = staticmethod(email_metric)
-
-    def closure(self, s: EmailGameState):
-        raise ValueError("the full carrier is infinite; use truncated_model")
 
 
 def event_b() -> Event:

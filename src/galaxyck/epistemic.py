@@ -27,9 +27,9 @@ The breadth-first ``closure``, ``components`` and ``distances_from`` never
 read that index; they are its oracles.
 
 Infinite carriers can stand in for an ``AumannModel`` wherever closed forms
-exist: such a model must expose ``agents``, ``cell(agent, state)`` and
-``metric(x, y)`` and advertise ``states = None``; ``link_iter`` walks
-them a frontier at a time, each step the ``link_group`` of the frontier.
+exist: such a model exposes only ``agents``, ``cell(agent, state)``,
+``metric(x, y)`` and ``states = None``, so ``ck_classical`` refuses it and
+``link_iter`` walks it a frontier at a time, each step a ``link_group``.
 Only there does the subjective test search a complement, so its events
 must list theirs explicitly (:attr:`Event.complement_witnesses`); on a
 finite carrier witnesses are validated and never searched.

@@ -226,6 +226,22 @@ def test_truncated_model_is_the_model_the_constructor_checks():
         assert model.component_index() == built.component_index()
 
 
+def test_a_longer_truncation_keeps_every_cell_below_the_clip():
+    """Metamorphic: ``truncated_model(T+1)`` gives each agent the cell of
+    ``truncated_model(T)`` at every state whose count t is below T; agent 2's
+    cell at (b,T,T) is where the shorter model clips."""
+    compared = 0
+    for T in range(1, 41):
+        shorter, longer = truncated_model(T), truncated_model(T + 1)
+        for s in shorter.states:
+            if int(s.t) < T:
+                for agent in (1, 2):
+                    assert shorter.cell(agent, s) == longer.cell(agent, s), (T, str(s), agent)
+                    compared += 1
+        assert shorter.cell(2, state_b(T)) != longer.cell(2, state_b(T))
+    assert compared == 3200
+
+
 counts = st.one_of(
     st.integers(1, 10**6).map(finite),
     st.tuples(st.integers(1, 3), st.integers(-50, 50)).map(lambda ck: huge(*ck)),
@@ -397,8 +413,7 @@ def test_the_truncation_as_a_model_document_has_b_common_knowledge_nowhere(tmp_p
 
 def test_infinite_carrier_refuses_enumeration():
     game = EmailGameModel()
-    with pytest.raises(ValueError):
-        game.closure(STATE_A)
+    assert not hasattr(game, "closure")  # no enumeration to offer
     with pytest.raises(ValueError):
         ck_classical(game, event_b(), STATE_A)
     bare_event = Event(lambda s: s.tag == "b")

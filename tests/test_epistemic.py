@@ -1180,3 +1180,24 @@ def test_common_knowledge_matches_its_definition_on_every_small_model(agents, ma
                     expected = omega in region
                     assert ck_classical(model, event, omega) is expected, (partitions, event, omega)
                     assert ck_subjective(model, event, omega) is expected, (partitions, event, omega)
+
+
+@pytest.mark.parametrize("T", [1, 2, 3, 4])
+def test_the_truncated_chain_matches_the_definitions_on_every_event(T):
+    """Every event of ``truncated_model(T)``, 680 for T = 1 to 4, and every
+    state: both common-knowledge tests against "everybody knows" iterated over
+    the cells written out literally, and ``link_iter`` at every depth up to
+    2T+1 against ``link_group`` applied that many times."""
+    model = truncated_model(T)
+    partitions = helpers.truncation_partitions(T)
+    literal = {s: (s.tag, int(s.t), int(s.t_prime)) for s in model.states}
+    for event in helpers.all_events(model.states):
+        region = _ck_by_definition(partitions, map(literal.get, event))
+        for omega in model.states:
+            expected = literal[omega] in region
+            assert ck_classical(model, event, omega) is expected, (T, event, omega)
+            assert ck_subjective(model, event, omega) is expected, (T, event, omega)
+        linked = event
+        for n in range(2 * T + 2):
+            assert link_iter(model, event, n) == linked, (T, event, n)
+            linked = link_group(model, linked)

@@ -1,8 +1,11 @@
-"""The README's library quickstart runs and prints what its comments say."""
+"""The README's library quickstart runs and prints what its comments say,
+and its library surface names every export."""
 
 import ast
 import re
 from pathlib import Path
+
+import galaxyck
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -29,3 +32,10 @@ def test_readme_quickstart_results_match_its_comments():
             exec(compile(ast.Module([node], []), "README.md", "exec"), namespace)
     assert comments == ["2*w+0", "True", "False", "False"]
     assert results == comments
+
+
+def test_library_surface_names_every_export():
+    section = README.read_text(encoding="utf-8").partition("## Library surface")[2]
+    section = section.partition("\n## ")[0]
+    named = set(re.findall(r"^- `([^`]+)`", section, re.M))
+    assert sorted(set(galaxyck.__all__) - named) == []

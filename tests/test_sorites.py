@@ -1,3 +1,5 @@
+import itertools
+
 import hypothesis.strategies as st
 import pytest
 from hypothesis import example, given, settings
@@ -399,6 +401,29 @@ def test_audit_matches_a_triple_loop_over_in_level(sample, ladder, distance, n_m
     assert rel().verify_generating_axioms(sample, n_max).to_json() == reference_audit(
         rel(), sample, n_max
     ).to_json()
+
+
+# A box around each tier's boundary: finite 0..4, w-1, w+0, w+1 and 2w+0.
+BOX = [*map(finite, range(5)), huge(1, -1), huge(1, 0), huge(1, 1), huge(2, 0)]
+
+
+def test_audit_matches_a_triple_loop_on_every_small_sample_of_a_box():
+    """Every sample of at most 2 distinct box points, at n_max 0 to 2, under
+    every ladder and distance: 1 656 audits, no draw."""
+    audits = 0
+    for size in range(3):
+        for sample, ladder, distance, n_max in itertools.product(
+            itertools.combinations(BOX, size), LADDERS, DISTANCES, range(3)
+        ):
+            def rel():  # each side gets a ladder with its own memo
+                return SoritesRelation(DISTANCES[distance], GeneratingSequence(LADDERS[ladder]))
+
+            expected = reference_audit(rel(), sample, n_max).to_json()
+            assert rel().verify_generating_axioms(sample, n_max).to_json() == expected, (
+                sample, ladder, distance, n_max,
+            )
+            audits += 1
+    assert audits == 1656
 
 
 shifts = st.one_of(
